@@ -11,7 +11,7 @@ print("graph:", g.arcs)
 
 mat = monitor_matrix(g)
 for a, arc in enumerate(g.arcs):
-    watchers = sorted(mat.arc_pairs[a])
+    watchers = [(x, y) for x, y in mat.pairs if mat.arcs_monitored_by(x, y) >> a & 1]
     print(f"arc {arc} is monitored by {watchers}")
 
 res = min_mag_set(g)

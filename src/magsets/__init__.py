@@ -49,6 +49,7 @@ from .formats import parse_edge_list, to_dot, write_edge_list
 from .monitoring import (
     ForcedReport,
     ForcedRule,
+    MegResult,
     MonitorMatrix,
     edge_monitors_undirected,
     forced_vertices,

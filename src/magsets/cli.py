@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from typing import NoReturn, Optional
@@ -54,13 +53,16 @@ EXIT_BUDGET = 3
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    source = "standard input" if path == "-" else path
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{source} is not valid UTF-8: {exc}") from exc
 
 
 def _digest(text: str) -> str:
@@ -125,9 +127,17 @@ def cmd_meg(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     text = _read_input(args.input)
     G = _need_undirected(parse_edge_list(text))
-    size, witness = min_meg_set(G, max_nodes=args.budget)
-    _emit(_report(args, text, {"size": size, "witness": sorted(witness)}), started)
-    return 0
+    res = min_meg_set(G, max_nodes=args.budget)
+    _emit(
+        _report(
+            args,
+            text,
+            {"size": res.size, "witness": list(res.witness), "optimal": res.optimal},
+            {"nodes": res.nodes},
+        ),
+        started,
+    )
+    return 0 if res.optimal else EXIT_BUDGET
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -339,7 +349,7 @@ def _add_common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
     p.add_argument("--json", action="store_true", help="JSON output (the default for analysis commands)")
     p.add_argument("--budget", type=int, default=10_000_000, help="search-node budget")
     p.add_argument("--strategy", choices=[s.value for s in Strategy], default="auto")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=1, help="spectrum worker processes (1 = serial)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["edgelist", "dot"], default="edgelist")
     p.add_argument("--max-edges", type=int, default=DEFAULT_EDGE_CAP, help="orientation-enumeration cap")

@@ -15,16 +15,24 @@ reproducible bit-for-bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import BadParamError
 
 
+def pair_rank(n: int, x: int, y: int) -> int:
+    """Lexicographic rank of the pair x < y within 0..C(n,2)-1."""
+    return x * n - x * (x + 1) // 2 + (y - x - 1)
+
+
 @dataclass(frozen=True)
 class CoverProblem:
+    """``pair_masks[pair_rank(n, x, y)]`` is the target mask of pair {x, y}."""
+
     n: int
     full_mask: int
-    pair_masks: dict[tuple[int, int], int]
+    pair_masks: Sequence[int]
     forced: frozenset[int] = frozenset()
     lower_bound: int = 0
 
@@ -50,13 +58,26 @@ class _Budget:
         return self.left >= 0
 
 
+def pair_rows(n: int, pair_masks: Sequence[int]) -> list[list[int]]:
+    """Per-vertex lookup: ``rows[v][c]`` is the mask of pair {v, c}."""
+    rows = [[0] * n for _ in range(n)]
+    r = 0
+    for x in range(n):
+        row_x = rows[x]
+        for y in range(x + 1, n):
+            row_x[y] = rows[y][x] = pair_masks[r]
+            r += 1
+    return rows
+
+
 def coverage_of(problem: CoverProblem, vertices: tuple[int, ...] | list[int]) -> int:
-    pm = problem.pair_masks
+    pm, n = problem.pair_masks, problem.n
     cov = 0
     vs = sorted(vertices)
     for i, x in enumerate(vs):
+        base = pair_rank(n, x, x + 1)
         for y in vs[i + 1 :]:
-            cov |= pm[(x, y)]
+            cov |= pm[base + y - x - 1]
     return cov
 
 
@@ -65,15 +86,16 @@ def solve_cover_sweep(problem: CoverProblem, max_nodes: int = 10_000_000) -> Cov
     budget = _Budget(max_nodes)
     forced = tuple(sorted(problem.forced))
     free = [v for v in range(problem.n) if v not in problem.forced]
-    pm = problem.pair_masks
     base = coverage_of(problem, forced)
     if base == problem.full_mask and len(forced) >= problem.lower_bound:
         return CoverSolution(len(forced), forced, True, 0)
+    rows = pair_rows(problem.n, problem.pair_masks)
     with_forced = {v: 0 for v in free}
     for v in free:
         acc = 0
+        row_v = rows[v]
         for f in forced:
-            acc |= pm[(min(v, f), max(v, f))]
+            acc |= row_v[f]
         with_forced[v] = acc
 
     nodes = 0
@@ -92,8 +114,9 @@ def solve_cover_sweep(problem: CoverProblem, max_nodes: int = 10_000_000) -> Cov
         for idx in range(start, len(free) - remaining + 1):
             v = free[idx]
             extra = with_forced[v]
+            row_v = rows[v]
             for c in chosen:
-                extra |= pm[(min(v, c), max(v, c))]
+                extra |= row_v[c]
             chosen.append(v)
             if rec(idx + 1, chosen, cov | extra, remaining - 1):
                 return True
@@ -118,6 +141,25 @@ class _BudgetStop(Exception):
     pass
 
 
+def _bit_counts(masks: Sequence[int], width: int) -> list[int]:
+    """For each bit position below ``width``, how many masks have it set.
+
+    The masks are summed as vectors of 1-bit counters with carry-save
+    addition: ``counters[i]`` holds bit i of every position's count.
+    """
+    counters: list[int] = []
+    for mk in masks:
+        carry = mk
+        for i, c in enumerate(counters):
+            if not carry:
+                break
+            counters[i] = c ^ carry
+            carry &= c
+        if carry:
+            counters.append(carry)
+    return [sum((c >> t & 1) << i for i, c in enumerate(counters)) for t in range(width)]
+
+
 def solve_cover_branch_bound(
     problem: CoverProblem,
     max_nodes: int = 10_000_000,
@@ -125,29 +167,27 @@ def solve_cover_branch_bound(
 ) -> CoverSolution:
     """Branch over the admissible pairs of a most-constrained uncovered target."""
     budget = _Budget(max_nodes)
-    pm = problem.pair_masks
+    n = problem.n
     full = problem.full_mask
-    width = full.bit_length()
-    # transpose: per target bit, the pairs that can cover it
-    target_pairs: list[list[tuple[int, int]]] = [[] for _ in range(width)]
-    for key, mask in pm.items():
-        mk = mask
-        while mk:
-            low = mk & -mk
-            target_pairs[low.bit_length() - 1].append(key)
-            mk ^= low
-    for lst in target_pairs:
-        lst.sort()
-
     forced = tuple(sorted(problem.forced))
     if upper_witness is None:
-        upper_witness = tuple(range(problem.n))
+        upper_witness = tuple(range(n))
     best = list(upper_witness)
-    best_optimal = True
+    root_cov = coverage_of(problem, forced)
+    if root_cov == full and len(forced) < len(best):
+        return CoverSolution(len(forced), forced, True, 1)  # the root is a cover
+
+    rows = pair_rows(n, problem.pair_masks)
+    # the most-constrained uncovered target is the first uncovered one in
+    # this order: fewest admissible pairs, ties to the lowest index
+    counts = _bit_counts(problem.pair_masks, full.bit_length())
+    order = [1 << t for t in sorted(range(len(counts)), key=lambda t: (counts[t], t))]
+    keys = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    admissible: dict[int, list[tuple[int, int]]] = {}  # target bit -> its pairs, in lex order
     nodes = 0
 
     def rec(chosen: set[int], cov: int) -> None:
-        nonlocal best, nodes, best_optimal
+        nonlocal best, nodes
         nodes += 1
         if not budget.spend():
             raise _BudgetStop
@@ -156,35 +196,39 @@ def solve_cover_branch_bound(
         if cov == full:
             best = sorted(chosen)
             return
-        # most-constrained uncovered target
-        pick, pick_pairs = -1, None
         uncovered = full & ~cov
-        mk = uncovered
-        while mk:
-            low = mk & -mk
-            t = low.bit_length() - 1
-            cand = target_pairs[t]
-            if pick_pairs is None or len(cand) < len(pick_pairs):
-                pick, pick_pairs = t, cand
-            mk ^= low
-        assert pick_pairs is not None
+        for bit in order:
+            if uncovered & bit:
+                break
+        pick_pairs = admissible.get(bit)
+        if pick_pairs is None:
+            pm = problem.pair_masks
+            pick_pairs = admissible[bit] = [key for key, mk in zip(keys, pm) if mk & bit]
+        k, limit = len(chosen), len(best)
         for x, y in pick_pairs:
-            add = [v for v in (x, y) if v not in chosen]
-            if len(chosen) + len(add) >= len(best):
+            add_x, add_y = x not in chosen, y not in chosen
+            if k + add_x + add_y >= limit:
                 continue
             extra = 0
             new = set(chosen)
-            for v in add:
+            if add_x:
+                row_x = rows[x]
+                for c in chosen:
+                    extra |= row_x[c]
+                new.add(x)
+            if add_y:
+                row_y = rows[y]
                 for c in new:
-                    extra |= pm[(min(v, c), max(v, c))]
-                new.add(v)
+                    extra |= row_y[c]
+                new.add(y)
             rec(new, cov | extra)
+            limit = len(best)
 
     try:
-        rec(set(forced), coverage_of(problem, forced))
+        rec(set(forced), root_cov)
     except _BudgetStop:
-        best_optimal = False
-    return CoverSolution(len(best), tuple(best), best_optimal, nodes)
+        return CoverSolution(len(best), tuple(best), False, nodes)
+    return CoverSolution(len(best), tuple(best), True, nodes)
 
 
 def solve_cover(
@@ -193,10 +237,17 @@ def solve_cover(
     strategy: str = "auto",
     upper_witness: tuple[int, ...] | None = None,
 ) -> CoverSolution:
+    """Solve with the chosen strategy.  When the budget runs out before an
+    optimum is proven, ``upper_witness`` (a known cover) is returned
+    instead of a larger fallback."""
     if strategy == "auto":
         strategy = "sweep" if problem.n - len(problem.forced) <= 24 else "bnb"
     if strategy == "sweep":
-        return solve_cover_sweep(problem, max_nodes)
-    if strategy == "bnb":
-        return solve_cover_branch_bound(problem, max_nodes, upper_witness)
-    raise BadParamError(f"unknown strategy {strategy!r}")
+        solution = solve_cover_sweep(problem, max_nodes)
+    elif strategy == "bnb":
+        solution = solve_cover_branch_bound(problem, max_nodes, upper_witness)
+    else:
+        raise BadParamError(f"unknown strategy {strategy!r}")
+    if not solution.optimal and upper_witness is not None and len(upper_witness) < solution.size:
+        solution = CoverSolution(len(upper_witness), tuple(upper_witness), False, solution.nodes)
+    return solution

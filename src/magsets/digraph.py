@@ -36,7 +36,7 @@ def _bfs(adj: Sequence[Sequence[int]], source: int) -> list[float]:
         u = queue.popleft()
         du = dist[u]
         for w in adj[u]:
-            if dist[w] is UNREACHABLE:
+            if dist[w] == UNREACHABLE:
                 dist[w] = du + 1
                 queue.append(w)
     return dist
@@ -112,27 +112,6 @@ class OrientedGraph:
         _check_vertex(y, self.n)
         return self._dist[x][y]
 
-    def distance_avoiding_arc(self, x: int, y: int, a: int) -> float:
-        """Shortest x->y distance in the graph with arc ``a`` removed."""
-        _check_vertex(x, self.n)
-        _check_vertex(y, self.n)
-        if not (0 <= a < self.m):
-            raise OutOfRangeError(f"arc index {a} out of range [0, {self.m})")
-        au, av = self.arcs[a]
-        adj = [list(ns) for ns in self.out_neighbors]
-        adj[au].remove(av)
-        return _bfs(adj, x)[y]
-
-    def distances_from_avoiding_arc(self, x: int, a: int) -> list[float]:
-        """All distances from ``x`` with arc ``a`` removed (one BFS)."""
-        _check_vertex(x, self.n)
-        if not (0 <= a < self.m):
-            raise OutOfRangeError(f"arc index {a} out of range [0, {self.m})")
-        au, av = self.arcs[a]
-        adj = [list(ns) for ns in self.out_neighbors]
-        adj[au].remove(av)
-        return _bfs(adj, x)
-
     def sources_and_sinks(self) -> tuple[frozenset[int], frozenset[int]]:
         """({u : no in-arcs}, {u : no out-arcs}); isolated vertices are both."""
         sources = frozenset(u for u in range(self.n) if not self.in_neighbors[u])
@@ -160,7 +139,7 @@ class OrientedGraph:
         dist = self._dist[x]
         sigma = [0] * self.n
         sigma[x] = 1
-        for v in sorted((v for v in range(self.n) if dist[v] is not UNREACHABLE), key=lambda v: dist[v]):
+        for v in sorted((v for v in range(self.n) if dist[v] != UNREACHABLE), key=lambda v: dist[v]):
             if v == x:
                 continue
             sigma[v] = sum(sigma[u] for u in self.in_neighbors[v] if dist[u] + 1 == dist[v])
@@ -230,16 +209,6 @@ class UndirectedGraph:
         _check_vertex(x, self.n)
         _check_vertex(y, self.n)
         return self._dist[x][y]
-
-    def distances_from_avoiding_edge(self, x: int, e: int) -> list[float]:
-        _check_vertex(x, self.n)
-        if not (0 <= e < self.m):
-            raise OutOfRangeError(f"edge index {e} out of range [0, {self.m})")
-        u, v = self.edges[e]
-        adj = [list(ns) for ns in self.neighbors]
-        adj[u].remove(v)
-        adj[v].remove(u)
-        return _bfs(adj, x)
 
     def components(self) -> list[frozenset[int]]:
         return _components(self.n, list(self.edges))

@@ -1,19 +1,34 @@
 """The monitoring relation, forced-vertex rules, and the extremal test.
 
 A pair {x, y} monitors arc a when a lies on every shortest directed path
-x->y or on every shortest directed path y->x.  The canonical test is arc
-deletion plus a BFS re-run: a lies on all shortest x->y paths exactly when
-removing it strictly increases d(x, y).  An optional path-counting test
+x->y or on every shortest directed path y->x.  One kernel answers this for
+every pair at once.  For a source x let N_x(y) be the set of arcs on every
+shortest x->y path; over the BFS levels from x it satisfies
+
+    N_x(x) = {},   N_x(y) = intersection over the shortest-path predecessors
+                            u of y of (N_x(u) + {(u, y)}),
+
+the recurrence behind Brandes' betweenness algorithm.  The kernel keeps
+N_x(y) as an int bitset over arc indices, so one BFS per source builds a
+whole row, and the mask of the pair {x, y} is N_x(y) | N_y(x).  The
+undirected (MEG) relation is the same kernel with each edge reachable from
+both ends under one shared bit.  The path-counting test
 (`monitors_directed_by_counting`) is kept as an independent cross-check.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from itertools import combinations
+from typing import Optional, Sequence
 
+from .cover import pair_rank
 from .digraph import UNREACHABLE, OrientedGraph, UndirectedGraph
 from .errors import DisconnectedInputError, EqualVerticesError, OutOfRangeError
+
+# Per vertex, its (neighbor, link bit) pairs: the out-arcs of an oriented
+# graph, or the edges of an undirected graph, seen from both ends.
+LinkAdjacency = Sequence[Sequence[tuple[int, int]]]
 
 
 def pair_key(x: int, y: int) -> tuple[int, int]:
@@ -23,14 +38,67 @@ def pair_key(x: int, y: int) -> tuple[int, int]:
     return (x, y) if x < y else (y, x)
 
 
-def monitors_directed(g: OrientedGraph, x: int, y: int, a: int) -> bool:
-    """True iff arc ``a`` lies on every shortest directed x->y path."""
+def _sole_route_row(adj: LinkAdjacency, x: int) -> list[int]:
+    """N_x(y) for every y: the bitmask of links on every shortest x->y path;
+    0 when y is x or unreachable from x."""
+    level = [-1] * len(adj)
+    need = [0] * len(adj)
+    level[x] = 0
+    frontier = [x]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for u in frontier:
+            nu = need[u]
+            for w, bit in adj[u]:
+                lw = level[w]
+                if lw < 0:
+                    level[w] = d
+                    need[w] = nu | bit
+                    nxt.append(w)
+                elif lw == d:
+                    need[w] &= nu | bit
+        frontier = nxt
+    return need
+
+
+def _pair_masks(adj: LinkAdjacency) -> list[int]:
+    """N_x(y) | N_y(x) for every pair x < y, in pair-rank order."""
+    n = len(adj)
+    rows = [_sole_route_row(adj, x) for x in range(n)]
+    return [rows[x][y] | rows[y][x] for x in range(n) for y in range(x + 1, n)]
+
+
+def _arc_adjacency(g: OrientedGraph) -> list[list[tuple[int, int]]]:
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for a, (u, v) in enumerate(g.arcs):
+        adj[u].append((v, 1 << a))
+    return adj
+
+
+def _edge_adjacency(G: UndirectedGraph) -> list[list[tuple[int, int]]]:
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(G.n)]
+    for e, (u, v) in enumerate(G.edges):
+        adj[u].append((v, 1 << e))
+        adj[v].append((u, 1 << e))
+    return adj
+
+
+def _check_query(n: int, x: int, y: int, link: int, links: int, what: str) -> None:
     if x == y:
         raise EqualVerticesError("x and y must be distinct")
-    d = g.distance(x, y)
-    if d is UNREACHABLE:
-        return False
-    return g.distance_avoiding_arc(x, y, a) > d
+    for v in (x, y):
+        if not (0 <= v < n):
+            raise OutOfRangeError(f"vertex {v} out of range [0, {n})")
+    if not (0 <= link < links):
+        raise OutOfRangeError(f"{what} index {link} out of range [0, {links})")
+
+
+def monitors_directed(g: OrientedGraph, x: int, y: int, a: int) -> bool:
+    """True iff arc ``a`` lies on every shortest directed x->y path."""
+    _check_query(g.n, x, y, a, g.m, "arc")
+    return bool(_sole_route_row(_arc_adjacency(g), x)[y] >> a & 1)
 
 
 def monitors_directed_by_counting(g: OrientedGraph, x: int, y: int, a: int) -> bool:
@@ -42,7 +110,7 @@ def monitors_directed_by_counting(g: OrientedGraph, x: int, y: int, a: int) -> b
         raise OutOfRangeError(f"arc index {a} out of range")
     u, v = g.arcs[a]
     d = g.distance(x, y)
-    if d is UNREACHABLE:
+    if d == UNREACHABLE:
         return False
     if g.distance(x, u) + 1 + g.distance(v, y) != d:
         return False
@@ -61,55 +129,27 @@ class MonitorMatrix:
     """Tabulation of the monitoring relation over all pairs and arcs.
 
     ``pair_arcs[i]`` is a bitmask over arc indices monitored by the i-th
-    pair in lexicographic order; ``arc_pairs[a]`` is the transposed view.
+    pair in lexicographic order (``pairs[i]``).
     """
 
     n: int
     m: int
-    pairs: tuple[tuple[int, int], ...]
     pair_arcs: tuple[int, ...]
-    arc_pairs: tuple[frozenset[tuple[int, int]], ...]
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(combinations(range(self.n), 2))
 
     def pair_index(self, x: int, y: int) -> int:
-        x, y = pair_key(x, y)
-        # lexicographic pair rank within 0..C(n,2)-1
-        return x * self.n - x * (x + 1) // 2 + (y - x - 1)
+        return pair_rank(self.n, *pair_key(x, y))
 
     def arcs_monitored_by(self, x: int, y: int) -> int:
         return self.pair_arcs[self.pair_index(x, y)]
 
 
 def monitor_matrix(g: OrientedGraph) -> MonitorMatrix:
-    """Build the complete monitoring matrix by the deletion test.
-
-    One BFS per (arc, source) pair: for each arc we recompute all-pairs
-    distances in the graph minus that arc and compare with the base table.
-    """
-    n, m = g.n, g.m
-    pairs = tuple((x, y) for x in range(n) for y in range(x + 1, n))
-    pair_arcs = [0] * len(pairs)
-    arc_pairs: list[set[tuple[int, int]]] = [set() for _ in range(m)]
-    base = [[g.distance(x, y) for y in range(n)] for x in range(n)]
-    for a in range(m):
-        for x in range(n):
-            row = base[x]
-            if all(row[y] is UNREACHABLE for y in range(n) if y != x):
-                continue
-            avoid = g.distances_from_avoiding_arc(x, a)
-            for y in range(n):
-                if y == x or row[y] is UNREACHABLE:
-                    continue
-                if avoid[y] > row[y]:
-                    key = pair_key(x, y)
-                    arc_pairs[a].add(key)
-    mm = MonitorMatrix(n, m, pairs, tuple(pair_arcs), tuple(frozenset(s) for s in arc_pairs))
-    # fill the transpose
-    pa = list(pair_arcs)
-    for a, pset in enumerate(arc_pairs):
-        for key in pset:
-            pa[mm.pair_index(*key)] |= 1 << a
-    object.__setattr__(mm, "pair_arcs", tuple(pa))
-    return mm
+    """Build the complete monitoring matrix: one kernel BFS per source."""
+    return MonitorMatrix(g.n, g.m, tuple(_pair_masks(_arc_adjacency(g))))
 
 
 def is_mag_set(
@@ -156,41 +196,25 @@ class ForcedReport:
     reasons: dict[int, tuple[ForcedRule, Optional[int]]]
 
 
-def _cond_ii_witness(g: OrientedGraph, v: int) -> Optional[int]:
+def _bypasses(g: OrientedGraph, arcs: frozenset[tuple[int, int]], v: int, u: int, w: int) -> bool:
+    """Whether u reaches w in at most two steps without passing through v."""
+    if (u, w) in arcs:
+        return True
+    return any(z != v and z != w and (z, w) in arcs for z in g.out_neighbors[u])
+
+
+def _cond_ii_witness(g: OrientedGraph, v: int, arcs: frozenset[tuple[int, int]]) -> Optional[int]:
     """An in-neighbor u of v reaching every out-neighbor of v in <= 2 steps
     without passing through v, if one exists."""
     outs = g.out_neighbors[v]
-    out_set = {(u, w) for u, w in g.arcs}
-    for u in g.in_neighbors[v]:
-        ok = True
-        for w in outs:
-            if (u, w) in out_set:
-                continue
-            if any(z != v and z != w and (z, w) in out_set for z in g.out_neighbors[u]):
-                continue
-            ok = False
-            break
-        if ok:
-            return u
-    return None
+    return next((u for u in g.in_neighbors[v] if all(_bypasses(g, arcs, v, u, w) for w in outs)), None)
 
 
-def _cond_iii_witness(g: OrientedGraph, v: int) -> Optional[int]:
+def _cond_iii_witness(g: OrientedGraph, v: int, arcs: frozenset[tuple[int, int]]) -> Optional[int]:
     """Mirror of the condition above: an out-neighbor w reachable from every
     in-neighbor of v in <= 2 steps avoiding v."""
-    out_set = {(u, w) for u, w in g.arcs}
-    for w in g.out_neighbors[v]:
-        ok = True
-        for u in g.in_neighbors[v]:
-            if (u, w) in out_set:
-                continue
-            if any(z != v and z != w and (z, w) in out_set for z in g.out_neighbors[u]):
-                continue
-            ok = False
-            break
-        if ok:
-            return w
-    return None
+    ins = g.in_neighbors[v]
+    return next((w for w in g.out_neighbors[v] if all(_bypasses(g, arcs, v, u, w) for u in ins)), None)
 
 
 def forced_vertices(g: OrientedGraph) -> ForcedReport:
@@ -210,14 +234,15 @@ def forced_vertices(g: OrientedGraph) -> ForcedReport:
             if u != v and nbhd[u] == nbhd[v]:
                 reasons[v] = (ForcedRule.TWIN, u)
                 break
+    arcs = frozenset(g.arcs)
     for v in range(g.n):
         if v in reasons:
             continue
-        u = _cond_ii_witness(g, v)
+        u = _cond_ii_witness(g, v, arcs)
         if u is not None:
             reasons[v] = (ForcedRule.COND_II, u)
             continue
-        w = _cond_iii_witness(g, v)
+        w = _cond_iii_witness(g, v, arcs)
         if w is not None:
             reasons[v] = (ForcedRule.COND_III, w)
     return ForcedReport(frozenset(reasons), reasons)
@@ -232,12 +257,13 @@ def is_extremal(g: OrientedGraph) -> tuple[bool, Optional[int]]:
     if not g.is_weakly_connected():
         raise DisconnectedInputError("extremal test requires a weakly connected graph")
     sources, sinks = g.sources_and_sinks()
+    arcs = frozenset(g.arcs)
     for v in range(g.n):
         if v in sources or v in sinks:
             continue
-        if _cond_ii_witness(g, v) is not None:
+        if _cond_ii_witness(g, v, arcs) is not None:
             continue
-        if _cond_iii_witness(g, v) is not None:
+        if _cond_iii_witness(g, v, arcs) is not None:
             continue
         return False, v
     return True, None
@@ -247,34 +273,30 @@ def is_extremal(g: OrientedGraph) -> tuple[bool, Optional[int]]:
 # Undirected analogue (MEG)
 
 
+@dataclass(frozen=True)
+class MegResult:
+    """Minimum MEG-set size and one witness; ``optimal`` is False when the
+    node budget ran out before the size was proven."""
+
+    size: int
+    witness: tuple[int, ...]
+    optimal: bool
+    nodes: int
+
+
 def edge_monitors_undirected(G: UndirectedGraph, x: int, y: int, e: int) -> bool:
     """True iff edge ``e`` lies on all shortest undirected x-y paths."""
-    if x == y:
-        raise EqualVerticesError("x and y must be distinct")
-    if not (0 <= e < G.m):
-        raise OutOfRangeError(f"edge index {e} out of range")
-    d = G.distance(x, y)
-    if d is UNREACHABLE:
-        return False
-    return G.distances_from_avoiding_edge(x, e)[y] > d
+    _check_query(G.n, x, y, e, G.m, "edge")
+    return bool(_sole_route_row(_edge_adjacency(G), x)[y] >> e & 1)
 
 
-def undirected_monitor_pair_masks(G: UndirectedGraph) -> dict[tuple[int, int], int]:
-    """Per unordered pair, the bitmask of edges it monitors."""
-    masks: dict[tuple[int, int], int] = {
-        (x, y): 0 for x in range(G.n) for y in range(x + 1, G.n)
-    }
-    base = [[G.distance(x, y) for y in range(G.n)] for x in range(G.n)]
-    for e in range(G.m):
-        for x in range(G.n):
-            avoid = G.distances_from_avoiding_edge(x, e)
-            for y in range(x + 1, G.n):
-                if base[x][y] is not UNREACHABLE and avoid[y] > base[x][y]:
-                    masks[(x, y)] |= 1 << e
-    return masks
+def undirected_monitor_pair_masks(G: UndirectedGraph) -> list[int]:
+    """Per unordered pair, in pair-rank order, the bitmask of edges it
+    monitors."""
+    return _pair_masks(_edge_adjacency(G))
 
 
-def min_meg_set(G: UndirectedGraph, max_nodes: int = 10_000_000) -> tuple[int, frozenset[int]]:
+def min_meg_set(G: UndirectedGraph, max_nodes: int = 10_000_000) -> MegResult:
     """Exact minimum monitoring edge-geodetic set of a connected graph.
 
     The search is seeded with all degree-1 vertices, which belong to every
@@ -286,15 +308,14 @@ def min_meg_set(G: UndirectedGraph, max_nodes: int = 10_000_000) -> tuple[int, f
     if not G.is_connected():
         raise DisconnectedInputError("MEG solver requires a connected graph")
     if G.m == 0:
-        return 0, frozenset()
-    masks = undirected_monitor_pair_masks(G)
+        return MegResult(0, (), True, 0)
     forced = frozenset(v for v in range(G.n) if G.degree(v) == 1)
     problem = CoverProblem(
         n=G.n,
         full_mask=(1 << G.m) - 1,
-        pair_masks=masks,
+        pair_masks=undirected_monitor_pair_masks(G),
         forced=forced,
         lower_bound=max(2, len(forced)),
     )
     solution = solve_cover(problem, max_nodes=max_nodes)
-    return solution.size, frozenset(solution.witness)
+    return MegResult(solution.size, tuple(sorted(solution.witness)), solution.optimal, solution.nodes)

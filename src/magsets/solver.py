@@ -6,11 +6,11 @@ different components monitors nothing, so the problem is additive.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .cover import CoverProblem, CoverSolution, solve_cover
+from .cover import CoverProblem, CoverSolution, pair_rank, pair_rows, solve_cover
 from .digraph import OrientedGraph
 from .monitoring import MonitorMatrix, forced_vertices, monitor_matrix
 
@@ -41,39 +41,48 @@ class MagResult:
     nodes: int
 
 
-def greedy_mag_set(g: OrientedGraph, matrix: Optional[MonitorMatrix] = None) -> frozenset[int]:
+def greedy_mag_set(
+    g: OrientedGraph,
+    matrix: Optional[MonitorMatrix] = None,
+    forced: Optional[frozenset[int]] = None,
+) -> frozenset[int]:
     """A valid MAG-set: forced seed, then repeatedly the vertex covering the
     most new arcs (ties to the lowest index)."""
     if g.m == 0:
         return frozenset()
     if matrix is None:
         matrix = monitor_matrix(g)
-    chosen = sorted(forced_vertices(g).vertices)
+    if forced is None:
+        forced = forced_vertices(g).vertices
+    rows = pair_rows(g.n, matrix.pair_arcs)
+    chosen = sorted(forced)
     full = (1 << g.m) - 1
     cov = 0
     for i, x in enumerate(chosen):
+        row_x = rows[x]
         for y in chosen[i + 1 :]:
-            cov |= matrix.arcs_monitored_by(x, y)
+            cov |= row_x[y]
     while cov != full or len(chosen) < 2:
         best_v, best_gain = -1, -1
         for v in range(g.n):
             if v in chosen:
                 continue
             gain_mask = 0
+            row_v = rows[v]
             for c in chosen:
-                gain_mask |= matrix.arcs_monitored_by(v, c)
+                gain_mask |= row_v[c]
             gain = (gain_mask & ~cov).bit_count()
             if gain > best_gain:
                 best_v, best_gain = v, gain
+        row_v = rows[best_v]
+        for c in chosen:
+            cov |= row_v[c]
         chosen.append(best_v)
         chosen.sort()
-        for c in chosen:
-            if c != best_v:
-                cov |= matrix.arcs_monitored_by(best_v, c)
     return frozenset(chosen)
 
 
-def mag_lower_bound(g: OrientedGraph) -> int:
+def mag_lower_bound(g: OrientedGraph, forced: Optional[frozenset[int]] = None) -> int:
     """A valid lower bound: 2 when arcs exist, n-1 on complete underlying
     graphs (tournaments), and the forced-set size."""
     if g.m == 0:
@@ -81,48 +90,47 @@ def mag_lower_bound(g: OrientedGraph) -> int:
     bound = 2
     if g.n >= 2 and g.m == g.n * (g.n - 1) // 2:
         bound = max(bound, g.n - 1)
-    return max(bound, len(forced_vertices(g).vertices))
+    if forced is None:
+        forced = forced_vertices(g).vertices
+    return max(bound, len(forced))
 
 
-def _solve_connected(g: OrientedGraph, cfg: SolverConfig) -> tuple[CoverSolution, frozenset[int]]:
+def _solve_connected(
+    g: OrientedGraph, cfg: SolverConfig
+) -> tuple[CoverSolution, frozenset[int], MonitorMatrix]:
+    """Build the matrix and the forced set once, then bound, greedy and search."""
     matrix = monitor_matrix(g)
-    forced = forced_vertices(g).vertices if cfg.use_forcing else frozenset()
-    pair_masks = {
-        (x, y): matrix.arcs_monitored_by(x, y)
-        for x in range(g.n)
-        for y in range(x + 1, g.n)
-    }
+    seed = forced_vertices(g).vertices
+    forced = seed if cfg.use_forcing else frozenset()
     problem = CoverProblem(
         n=g.n,
         full_mask=(1 << g.m) - 1,
-        pair_masks=pair_masks,
+        pair_masks=matrix.pair_arcs,
         forced=forced,
-        lower_bound=mag_lower_bound(g) if cfg.use_forcing else 2,
+        lower_bound=mag_lower_bound(g, seed) if cfg.use_forcing else 2,
     )
-    greedy = tuple(sorted(greedy_mag_set(g, matrix)))
+    greedy = tuple(sorted(greedy_mag_set(g, matrix, seed)))
     solution = solve_cover(
         problem, max_nodes=cfg.max_nodes, strategy=cfg.strategy.value, upper_witness=greedy
     )
-    if not solution.optimal and len(greedy) < solution.size:
-        solution = CoverSolution(len(greedy), greedy, False, solution.nodes)
-    return solution, forced
+    return solution, forced, matrix
 
 
 def _coverage_certificate(
     g: OrientedGraph, witness: tuple[int, ...], matrix: MonitorMatrix
 ) -> dict[int, tuple[int, int]]:
+    """Per arc, the lexicographically first witness pair monitoring it."""
     cert: dict[int, tuple[int, int]] = {}
+    left = (1 << g.m) - 1
     members = sorted(witness)
-    for a in range(g.m):
-        for i, x in enumerate(members):
-            done = False
-            for y in members[i + 1 :]:
-                if matrix.arcs_monitored_by(x, y) >> a & 1:
-                    cert[a] = (x, y)
-                    done = True
-                    break
-            if done:
-                break
+    for i, x in enumerate(members):
+        for y in members[i + 1 :]:
+            new = matrix.pair_arcs[pair_rank(g.n, x, y)] & left
+            left ^= new
+            while new:
+                low = new & -new
+                cert[low.bit_length() - 1] = (x, y)
+                new ^= low
     return cert
 
 
@@ -134,8 +142,8 @@ def min_mag_set(g: OrientedGraph, cfg: Optional[SolverConfig] = None) -> MagResu
         return MagResult(0, (), frozenset(), {}, True, 0)
     comps = g.components()
     if len(comps) == 1:
-        solution, forced = _solve_connected(g, cfg)
-        cert = _coverage_certificate(g, solution.witness, monitor_matrix(g))
+        solution, forced, matrix = _solve_connected(g, cfg)
+        cert = _coverage_certificate(g, solution.witness, matrix)
         return MagResult(
             solution.size, solution.witness, forced, cert, solution.optimal, solution.nodes
         )

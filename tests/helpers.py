@@ -2,9 +2,10 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations
 
-from magsets import OrientedGraph, UndirectedGraph, is_mag_set, monitor_matrix
+from magsets import UNREACHABLE, OrientedGraph, UndirectedGraph, is_mag_set, monitor_matrix
 
 
 def random_oriented(rng: random.Random, n: int, p: float = 0.5) -> OrientedGraph:
@@ -69,3 +70,83 @@ def _ternary(k: int):
             code, r = divmod(code, 3)
             digits.append(r)
         yield digits
+
+
+# ---------------------------------------------------------------------------
+# Deletion oracle: a link lies on every shortest x->y path exactly when
+# removing it strictly increases d(x, y).  One BFS per (link, source).
+
+
+def _bfs(adj: list[list[int]], source: int) -> list[float]:
+    dist: list[float] = [UNREACHABLE] * len(adj)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if dist[w] == UNREACHABLE:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def distances_from_avoiding_arc(g: OrientedGraph, x: int, a: int) -> list[float]:
+    """All distances from ``x`` in ``g`` with arc ``a`` removed."""
+    adj = [list(ns) for ns in g.out_neighbors]
+    u, v = g.arcs[a]
+    adj[u].remove(v)
+    return _bfs(adj, x)
+
+
+def distance_avoiding_arc(g: OrientedGraph, x: int, y: int, a: int) -> float:
+    """Shortest x->y distance in ``g`` with arc ``a`` removed (adjacency
+    rebuilt from the remaining arcs)."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for b, (u, v) in enumerate(g.arcs):
+        if b != a:
+            adj[u].append(v)
+    return _bfs(adj, x)[y]
+
+
+def distances_from_avoiding_edge(G: UndirectedGraph, x: int, e: int) -> list[float]:
+    """All distances from ``x`` in ``G`` with edge ``e`` removed."""
+    adj = [list(ns) for ns in G.neighbors]
+    u, v = G.edges[e]
+    adj[u].remove(v)
+    adj[v].remove(u)
+    return _bfs(adj, x)
+
+
+def deletion_arc_pairs(g: OrientedGraph) -> list[set[tuple[int, int]]]:
+    """Per arc, the pairs x < y monitoring it in either direction."""
+    base = [_bfs([list(ns) for ns in g.out_neighbors], x) for x in range(g.n)]
+    arc_pairs: list[set[tuple[int, int]]] = [set() for _ in range(g.m)]
+    for a in range(g.m):
+        for x in range(g.n):
+            avoid = distances_from_avoiding_arc(g, x, a)
+            for y in range(g.n):
+                if y != x and base[x][y] != UNREACHABLE and avoid[y] > base[x][y]:
+                    arc_pairs[a].add((min(x, y), max(x, y)))
+    return arc_pairs
+
+
+def deletion_pair_masks(g: OrientedGraph) -> list[int]:
+    """Monitored-arc mask per pair x < y, in lexicographic pair order."""
+    masks = {(x, y): 0 for x, y in combinations(range(g.n), 2)}
+    for a, pairs in enumerate(deletion_arc_pairs(g)):
+        for key in pairs:
+            masks[key] |= 1 << a
+    return list(masks.values())
+
+
+def undirected_deletion_pair_masks(G: UndirectedGraph) -> list[int]:
+    """Monitored-edge mask per pair x < y, in lexicographic pair order."""
+    base = [_bfs([list(ns) for ns in G.neighbors], x) for x in range(G.n)]
+    masks = {(x, y): 0 for x, y in combinations(range(G.n), 2)}
+    for e in range(G.m):
+        for x in range(G.n):
+            avoid = distances_from_avoiding_edge(G, x, e)
+            for y in range(x + 1, G.n):
+                if base[x][y] != UNREACHABLE and avoid[y] > base[x][y]:
+                    masks[(x, y)] |= 1 << e
+    return list(masks.values())

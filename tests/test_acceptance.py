@@ -206,7 +206,7 @@ def test_c06_gap_construction():
     for j in (1, 2):
         G = construction_gj(j)
         sp = spectrum(G)
-        meg, _ = min_meg_set(G)
+        meg = min_meg_set(G).size
         assert sp.mag_minus == j + 3
         assert meg == j + 2
         assert meg < sp.mag_minus

@@ -23,7 +23,7 @@ from magsets.families import (
     transitive_tournament,
 )
 
-from helpers import brute_min_mag, random_connected_oriented
+from helpers import brute_min_mag, deletion_arc_pairs, random_connected_oriented
 
 
 def test_deletion_test_on_directed_path():
@@ -67,8 +67,9 @@ def test_monitor_matrix_transpose_consistency():
     for _ in range(25):
         g = random_connected_oriented(rng, 6)
         mat = monitor_matrix(g)
+        arc_pairs = deletion_arc_pairs(g)
         for a in range(g.m):
-            covered = mat.arc_pairs[a]
+            covered = arc_pairs[a]
             for p, (x, y) in enumerate(mat.pairs):
                 bit = (x, y) in covered
                 assert bit == pair_monitors(g, x, y, a)
@@ -121,9 +122,9 @@ def test_extremal_matches_brute_size():
 
 def test_min_meg_on_construction():
     for j in (1, 2, 3):
-        size, witness = min_meg_set(construction_gj(j))
-        assert size == j + 2
-        assert is_meg_witness(construction_gj(j), witness)
+        res = min_meg_set(construction_gj(j))
+        assert res.size == j + 2 and res.optimal
+        assert is_meg_witness(construction_gj(j), res.witness)
 
 
 def is_meg_witness(G, witness):

@@ -8,6 +8,7 @@ a single JSON run report.  Exit codes: 0 done exactly, 2 parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -355,7 +356,10 @@ def _add_common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
     p.add_argument("--max-edges", type=int, default=DEFAULT_EDGE_CAP, help="orientation-enumeration cap")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every call of :func:`main` reuses it."""
     parser = argparse.ArgumentParser(prog="magsets", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -10,7 +10,9 @@ everything.  Two strategies:
 * branch-and-bound  -- pick an uncovered target with the smallest
   admissible pair family, branch over its pairs.
 
-Tie-breaking is by lowest vertex index everywhere, so the witness is
+A greedy cover is built only when a search needs one: as the
+branch-and-bound incumbent, or as the sweep's answer when its budget runs
+out.  Tie-breaking is by lowest vertex index everywhere, so the witness is
 reproducible bit-for-bit.
 """
 from __future__ import annotations
@@ -133,6 +135,8 @@ def solve_cover_sweep(problem: CoverProblem, max_nodes: int = 10_000_000) -> Cov
     except _BudgetStop:
         fallback = tuple(range(problem.n))
         return CoverSolution(problem.n, fallback, False, nodes)
+    finally:
+        del rec  # rec refers to itself: unbind it so the search state is freed now
     # full vertex set always covers (callers only pose feasible problems)
     raise AssertionError("sweep exhausted without finding a cover")
 
@@ -163,16 +167,16 @@ def _bit_counts(masks: Sequence[int], width: int) -> list[int]:
 def solve_cover_branch_bound(
     problem: CoverProblem,
     max_nodes: int = 10_000_000,
-    upper_witness: tuple[int, ...] | None = None,
+    upper_witness: Sequence[int] | None = None,
 ) -> CoverSolution:
-    """Branch over the admissible pairs of a most-constrained uncovered target."""
+    """Branch over the admissible pairs of a most-constrained uncovered
+    target, starting from the known cover ``upper_witness`` (all n
+    vertices when none is given)."""
     budget = _Budget(max_nodes)
     n = problem.n
     full = problem.full_mask
     forced = tuple(sorted(problem.forced))
-    if upper_witness is None:
-        upper_witness = tuple(range(n))
-    best = list(upper_witness)
+    best = sorted(upper_witness) if upper_witness is not None else list(range(n))
     root_cov = coverage_of(problem, forced)
     if root_cov == full and len(forced) < len(best):
         return CoverSolution(len(forced), forced, True, 1)  # the root is a cover
@@ -228,26 +232,62 @@ def solve_cover_branch_bound(
         rec(set(forced), root_cov)
     except _BudgetStop:
         return CoverSolution(len(best), tuple(best), False, nodes)
+    finally:
+        del rec  # rec refers to itself: unbind it so the search state is freed now
     return CoverSolution(len(best), tuple(best), True, nodes)
+
+
+def greedy_cover(problem: CoverProblem) -> tuple[int, ...]:
+    """A valid cover: the forced seed, then repeatedly the vertex covering
+    the most new targets (ties to the lowest index), until everything is
+    covered and at least one pair is chosen."""
+    rows = pair_rows(problem.n, problem.pair_masks)
+    full = problem.full_mask
+    chosen = sorted(problem.forced)
+    cov = coverage_of(problem, chosen)
+    while cov != full or len(chosen) < 2:
+        best_v, best_gain = -1, -1
+        for v in range(problem.n):
+            if v in chosen:
+                continue
+            gain_mask = 0
+            row_v = rows[v]
+            for c in chosen:
+                gain_mask |= row_v[c]
+            gain = (gain_mask & ~cov).bit_count()
+            if gain > best_gain:
+                best_v, best_gain = v, gain
+        row_v = rows[best_v]
+        for c in chosen:
+            cov |= row_v[c]
+        chosen.append(best_v)
+        chosen.sort()
+    return tuple(chosen)
 
 
 def solve_cover(
     problem: CoverProblem,
     max_nodes: int = 10_000_000,
     strategy: str = "auto",
-    upper_witness: tuple[int, ...] | None = None,
+    greedy_incumbent: bool = True,
 ) -> CoverSolution:
-    """Solve with the chosen strategy.  When the budget runs out before an
-    optimum is proven, ``upper_witness`` (a known cover) is returned
-    instead of a larger fallback."""
+    """Solve with the chosen strategy.  The :func:`greedy_cover` is built
+    only when a search needs it: as the branch-and-bound incumbent (with
+    ``greedy_incumbent`` false the search starts from all n vertices
+    instead), or when the budget runs out before an optimum is proven,
+    when it is returned in place of a larger best-so-far."""
     if strategy == "auto":
         strategy = "sweep" if problem.n - len(problem.forced) <= 24 else "bnb"
+    greedy = None
     if strategy == "sweep":
         solution = solve_cover_sweep(problem, max_nodes)
     elif strategy == "bnb":
-        solution = solve_cover_branch_bound(problem, max_nodes, upper_witness)
+        greedy = greedy_cover(problem) if greedy_incumbent else None
+        solution = solve_cover_branch_bound(problem, max_nodes, greedy)
     else:
         raise BadParamError(f"unknown strategy {strategy!r}")
-    if not solution.optimal and upper_witness is not None and len(upper_witness) < solution.size:
-        solution = CoverSolution(len(upper_witness), tuple(upper_witness), False, solution.nodes)
+    if not solution.optimal:
+        greedy = greedy or greedy_cover(problem)
+        if len(greedy) < solution.size:
+            solution = CoverSolution(len(greedy), greedy, False, solution.nodes)
     return solution

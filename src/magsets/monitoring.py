@@ -196,55 +196,69 @@ class ForcedReport:
     reasons: dict[int, tuple[ForcedRule, Optional[int]]]
 
 
-def _bypasses(g: OrientedGraph, arcs: frozenset[tuple[int, int]], v: int, u: int, w: int) -> bool:
-    """Whether u reaches w in at most two steps without passing through v."""
-    if (u, w) in arcs:
-        return True
-    return any(z != v and z != w and (z, w) in arcs for z in g.out_neighbors[u])
+def _neighbourhoods(
+    g: OrientedGraph,
+) -> tuple[list[int], list[int], list[list[int]], list[list[int]]]:
+    """Per vertex, its in- and out-neighbours as bitmasks, then as lists in
+    increasing order (arcs are canonical, so appending keeps the order)."""
+    ins, outs = [0] * g.n, [0] * g.n
+    in_list: list[list[int]] = [[] for _ in range(g.n)]
+    out_list: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.arcs:
+        outs[u] |= 1 << v
+        ins[v] |= 1 << u
+        out_list[u].append(v)
+        in_list[v].append(u)
+    return ins, outs, in_list, out_list
 
 
-def _cond_ii_witness(g: OrientedGraph, v: int, arcs: frozenset[tuple[int, int]]) -> Optional[int]:
-    """An in-neighbor u of v reaching every out-neighbor of v in <= 2 steps
-    without passing through v, if one exists."""
-    outs = g.out_neighbors[v]
-    return next((u for u in g.in_neighbors[v] if all(_bypasses(g, arcs, v, u, w) for w in outs)), None)
-
-
-def _cond_iii_witness(g: OrientedGraph, v: int, arcs: frozenset[tuple[int, int]]) -> Optional[int]:
-    """Mirror of the condition above: an out-neighbor w reachable from every
-    in-neighbor of v in <= 2 steps avoiding v."""
-    ins = g.in_neighbors[v]
-    return next((w for w in g.out_neighbors[v] if all(_bypasses(g, arcs, v, u, w) for u in ins)), None)
+def _bypass_reason(
+    ins: list[int], outs: list[int], in_list: list[list[int]], out_list: list[list[int]], v: int
+) -> Optional[tuple[ForcedRule, int]]:
+    """COND_II with the first in-neighbour u of v that reaches every
+    out-neighbour of v in at most two steps without passing through v; else
+    COND_III with the first out-neighbour w reached that way from every
+    in-neighbour of v; else None."""
+    out_v = outs[v]
+    for u in in_list[v]:
+        reach = outs[u]
+        for z in out_list[u]:
+            if z != v:
+                reach |= outs[z]
+        if not out_v & ~reach:
+            return ForcedRule.COND_II, u
+    in_v = ins[v]
+    for w in out_list[v]:
+        reach = ins[w]
+        for z in in_list[w]:
+            if z != v:
+                reach |= ins[z]
+        if not in_v & ~reach:
+            return ForcedRule.COND_III, w
+    return None
 
 
 def forced_vertices(g: OrientedGraph) -> ForcedReport:
     """Union of the forcing rules: sources/sinks, twins, and the two
     extremal-characterization conditions for internal vertices."""
+    ins, outs, in_list, out_list = _neighbourhoods(g)
+    twins: dict[tuple[int, int], list[int]] = {}
+    for v in range(g.n):
+        twins.setdefault((ins[v], outs[v]), []).append(v)
     reasons: dict[int, tuple[ForcedRule, Optional[int]]] = {}
-    sources, sinks = g.sources_and_sinks()
-    for v in sources:
-        reasons[v] = (ForcedRule.SOURCE, None)
-    for v in sinks:
-        reasons.setdefault(v, (ForcedRule.SINK, None))
-    nbhd = [(frozenset(g.in_neighbors[v]), frozenset(g.out_neighbors[v])) for v in range(g.n)]
     for v in range(g.n):
-        if v in reasons:
-            continue
-        for u in range(g.n):
-            if u != v and nbhd[u] == nbhd[v]:
-                reasons[v] = (ForcedRule.TWIN, u)
-                break
-    arcs = frozenset(g.arcs)
-    for v in range(g.n):
-        if v in reasons:
-            continue
-        u = _cond_ii_witness(g, v, arcs)
-        if u is not None:
-            reasons[v] = (ForcedRule.COND_II, u)
-            continue
-        w = _cond_iii_witness(g, v, arcs)
-        if w is not None:
-            reasons[v] = (ForcedRule.COND_III, w)
+        if not ins[v]:
+            reasons[v] = (ForcedRule.SOURCE, None)
+        elif not outs[v]:
+            reasons[v] = (ForcedRule.SINK, None)
+        else:
+            group = twins[(ins[v], outs[v])]
+            if len(group) > 1:
+                reasons[v] = (ForcedRule.TWIN, group[1] if group[0] == v else group[0])
+            else:
+                reason = _bypass_reason(ins, outs, in_list, out_list, v)
+                if reason is not None:
+                    reasons[v] = reason
     return ForcedReport(frozenset(reasons), reasons)
 
 
@@ -256,16 +270,10 @@ def is_extremal(g: OrientedGraph) -> tuple[bool, Optional[int]]:
     """
     if not g.is_weakly_connected():
         raise DisconnectedInputError("extremal test requires a weakly connected graph")
-    sources, sinks = g.sources_and_sinks()
-    arcs = frozenset(g.arcs)
+    ins, outs, in_list, out_list = _neighbourhoods(g)
     for v in range(g.n):
-        if v in sources or v in sinks:
-            continue
-        if _cond_ii_witness(g, v, arcs) is not None:
-            continue
-        if _cond_iii_witness(g, v, arcs) is not None:
-            continue
-        return False, v
+        if ins[v] and outs[v] and _bypass_reason(ins, outs, in_list, out_list, v) is None:
+            return False, v
     return True, None
 
 
@@ -317,5 +325,7 @@ def min_meg_set(G: UndirectedGraph, max_nodes: int = 10_000_000) -> MegResult:
         forced=forced,
         lower_bound=max(2, len(forced)),
     )
-    solution = solve_cover(problem, max_nodes=max_nodes)
+    # branch-and-bound starts from all n vertices, not from the greedy, so
+    # a proven witness is the first optimal cover in search order
+    solution = solve_cover(problem, max_nodes, greedy_incumbent=False)
     return MegResult(solution.size, tuple(sorted(solution.witness)), solution.optimal, solution.nodes)

@@ -6,11 +6,12 @@ different components monitors nothing, so the problem is additive.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
-from .cover import CoverProblem, CoverSolution, pair_rank, pair_rows, solve_cover
+from .cover import CoverProblem, greedy_cover, pair_rank, solve_cover
 from .digraph import OrientedGraph
 from .monitoring import MonitorMatrix, forced_vertices, monitor_matrix
 
@@ -30,15 +31,36 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class MagResult:
-    """Certified optimum: size, one witness, the forced seed, and per arc
-    one monitoring pair drawn from the witness."""
+    """Certified optimum: size, one witness, the forced seed, and (in
+    ``coverage``) per arc one monitoring pair drawn from the witness."""
 
     size: int
     witness: tuple[int, ...]
     forced: frozenset[int]
-    coverage: dict[int, tuple[int, int]]
     optimal: bool
     nodes: int
+    # keyword-only, so a call with the positional fields of the eager
+    # certificate (``coverage`` before ``optimal``) fails loudly
+    _graph: OrientedGraph = field(repr=False, kw_only=True)
+    _matrix: Optional[MonitorMatrix] = field(default=None, repr=False, compare=False, kw_only=True)
+
+    @cached_property
+    def coverage(self) -> dict[int, tuple[int, int]]:
+        """Per arc, the lexicographically first witness pair monitoring it;
+        built on first access from the matrix of the solve."""
+        matrix = self._matrix if self._matrix is not None else monitor_matrix(self._graph)
+        cert: dict[int, tuple[int, int]] = {}
+        left = (1 << matrix.m) - 1
+        members = sorted(self.witness)
+        for i, x in enumerate(members):
+            for y in members[i + 1 :]:
+                new = matrix.pair_arcs[pair_rank(matrix.n, x, y)] & left
+                left ^= new
+                while new:
+                    low = new & -new
+                    cert[low.bit_length() - 1] = (x, y)
+                    new ^= low
+        return cert
 
 
 def greedy_mag_set(
@@ -54,32 +76,7 @@ def greedy_mag_set(
         matrix = monitor_matrix(g)
     if forced is None:
         forced = forced_vertices(g).vertices
-    rows = pair_rows(g.n, matrix.pair_arcs)
-    chosen = sorted(forced)
-    full = (1 << g.m) - 1
-    cov = 0
-    for i, x in enumerate(chosen):
-        row_x = rows[x]
-        for y in chosen[i + 1 :]:
-            cov |= row_x[y]
-    while cov != full or len(chosen) < 2:
-        best_v, best_gain = -1, -1
-        for v in range(g.n):
-            if v in chosen:
-                continue
-            gain_mask = 0
-            row_v = rows[v]
-            for c in chosen:
-                gain_mask |= row_v[c]
-            gain = (gain_mask & ~cov).bit_count()
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        row_v = rows[best_v]
-        for c in chosen:
-            cov |= row_v[c]
-        chosen.append(best_v)
-        chosen.sort()
-    return frozenset(chosen)
+    return frozenset(greedy_cover(CoverProblem(g.n, (1 << g.m) - 1, matrix.pair_arcs, forced)))
 
 
 def mag_lower_bound(g: OrientedGraph, forced: Optional[frozenset[int]] = None) -> int:
@@ -95,10 +92,9 @@ def mag_lower_bound(g: OrientedGraph, forced: Optional[frozenset[int]] = None) -
     return max(bound, len(forced))
 
 
-def _solve_connected(
-    g: OrientedGraph, cfg: SolverConfig
-) -> tuple[CoverSolution, frozenset[int], MonitorMatrix]:
-    """Build the matrix and the forced set once, then bound, greedy and search."""
+def _solve_connected(g: OrientedGraph, cfg: SolverConfig) -> MagResult:
+    """Build the matrix and the forced set once, then bound and search; the
+    greedy cover is built only if the search asks for it."""
     matrix = monitor_matrix(g)
     seed = forced_vertices(g).vertices
     forced = seed if cfg.use_forcing else frozenset()
@@ -109,29 +105,11 @@ def _solve_connected(
         forced=forced,
         lower_bound=mag_lower_bound(g, seed) if cfg.use_forcing else 2,
     )
-    greedy = tuple(sorted(greedy_mag_set(g, matrix, seed)))
-    solution = solve_cover(
-        problem, max_nodes=cfg.max_nodes, strategy=cfg.strategy.value, upper_witness=greedy
+    solution = solve_cover(problem, max_nodes=cfg.max_nodes, strategy=cfg.strategy.value)
+    return MagResult(
+        solution.size, solution.witness, forced, solution.optimal, solution.nodes,
+        _graph=g, _matrix=matrix,
     )
-    return solution, forced, matrix
-
-
-def _coverage_certificate(
-    g: OrientedGraph, witness: tuple[int, ...], matrix: MonitorMatrix
-) -> dict[int, tuple[int, int]]:
-    """Per arc, the lexicographically first witness pair monitoring it."""
-    cert: dict[int, tuple[int, int]] = {}
-    left = (1 << g.m) - 1
-    members = sorted(witness)
-    for i, x in enumerate(members):
-        for y in members[i + 1 :]:
-            new = matrix.pair_arcs[pair_rank(g.n, x, y)] & left
-            left ^= new
-            while new:
-                low = new & -new
-                cert[low.bit_length() - 1] = (x, y)
-                new ^= low
-    return cert
 
 
 def min_mag_set(g: OrientedGraph, cfg: Optional[SolverConfig] = None) -> MagResult:
@@ -139,19 +117,16 @@ def min_mag_set(g: OrientedGraph, cfg: Optional[SolverConfig] = None) -> MagResu
     config.  A graph with no arcs has mag 0 and an empty witness."""
     cfg = cfg or SolverConfig()
     if g.m == 0:
-        return MagResult(0, (), frozenset(), {}, True, 0)
+        return MagResult(0, (), frozenset(), True, 0, _graph=g)
     comps = g.components()
     if len(comps) == 1:
-        solution, forced, matrix = _solve_connected(g, cfg)
-        cert = _coverage_certificate(g, solution.witness, matrix)
-        return MagResult(
-            solution.size, solution.witness, forced, cert, solution.optimal, solution.nodes
-        )
-    # solve per component and merge through the vertex relabeling
+        return _solve_connected(g, cfg)
+    # solve per component and merge through the vertex relabeling; pairs
+    # across components monitor nothing, so the coverage of the merged
+    # witness is that of the whole graph's matrix
     size = 0
     witness: list[int] = []
     forced_all: set[int] = set()
-    coverage: dict[int, tuple[int, int]] = {}
     optimal = True
     nodes = 0
     for comp in comps:
@@ -163,9 +138,6 @@ def min_mag_set(g: OrientedGraph, cfg: Optional[SolverConfig] = None) -> MagResu
         size += res.size
         witness.extend(verts[v] for v in res.witness)
         forced_all.update(verts[v] for v in res.forced)
-        for a, (x, y) in res.coverage.items():
-            au, av = sub.arcs[a]
-            coverage[g.arc_index(verts[au], verts[av])] = (verts[x], verts[y])
         optimal = optimal and res.optimal
         nodes += res.nodes
-    return MagResult(size, tuple(sorted(witness)), frozenset(forced_all), coverage, optimal, nodes)
+    return MagResult(size, tuple(sorted(witness)), frozenset(forced_all), optimal, nodes, _graph=g)

@@ -8,12 +8,13 @@ result onto the complementary mask.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .digraph import OrientedGraph, UndirectedGraph
 from .errors import (
+    BadParamError,
     BudgetExceededError,
     DisconnectedInputError,
     TooManyEdgesError,
@@ -47,17 +48,22 @@ def orient(G: UndirectedGraph, mask: int) -> OrientedGraph:
     indices."""
     if not (0 <= mask < 1 << G.m):
         raise WidthMismatchError(f"mask {mask} does not fit {G.m} edge bits")
-    arcs = []
-    for i, (u, v) in enumerate(G.edges):
-        arcs.append((v, u) if mask >> i & 1 else (u, v))
-    return OrientedGraph(G.n, tuple(arcs))
+    # G's edges are valid and sorted, so the arcs are already canonical
+    arcs = tuple((v, u) if mask >> i & 1 else (u, v) for i, (u, v) in enumerate(G.edges))
+    return OrientedGraph._canonical(G.n, arcs)
 
 
 def _scan_masks(
-    G: UndirectedGraph, lo: int, hi: int, cfg: SolverConfig
+    G: UndirectedGraph,
+    lo: int,
+    hi: int,
+    cfg: SolverConfig,
+    stop_at_two: bool = False,
+    stop_at_n: bool = False,
 ) -> dict[int, int]:
     """Evaluate even masks in [lo, hi); map mag value -> smallest attaining
-    mask (counting each evaluated mask and its complement)."""
+    mask (counting each evaluated mask and its complement).  Stops early
+    once mag 2 (``stop_at_two``) or mag n (``stop_at_n``) is attained."""
     full = (1 << G.m) - 1
     best: dict[int, int] = {}
     for mask in range(lo, hi):
@@ -69,6 +75,8 @@ def _scan_masks(
         cand = min(mask, full ^ mask)
         if res.size not in best or cand < best[res.size]:
             best[res.size] = cand
+        if (stop_at_two and 2 in best) or (stop_at_n and G.n in best):
+            break
     return best
 
 
@@ -84,43 +92,34 @@ def spectrum(
 
     ``stop_at_two`` / ``stop_at_n`` allow early exit once the trivial
     extreme for mag-minus / mag-plus has been reached (off by default so
-    the full spectrum is the canonical output).
+    the full spectrum is the canonical output).  They need the serial scan:
+    combined with ``threads > 1`` they raise :class:`BadParamError`.
     """
     if not G.is_connected():
         raise DisconnectedInputError("spectrum requires a connected graph")
     if G.m > max_edges:
         raise TooManyEdgesError(f"{G.m} edges exceeds the cap of {max_edges}")
+    if threads > 1 and (stop_at_two or stop_at_n):
+        raise BadParamError("early exit (stop at mag 2 or n) needs a serial scan: use 1 thread")
     cfg = cfg or SolverConfig()
     total = 1 << G.m
-    early = stop_at_two or stop_at_n
-    if threads > 1 and not early and G.m >= 6:
+    if threads > 1 and G.m >= 6:
+        # imported here: multiprocessing and its imports add ~2.5 MB of resident
+        # memory that a serial scan never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(64, total // (threads * 8))
-        ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+        los = range(0, total, chunk)
+        his = [min(lo + chunk, total) for lo in los]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_scan_masks_star, [(G, lo, hi, cfg) for lo, hi in ranges]))
+            parts = list(pool.map(partial(_scan_masks, G, cfg=cfg), los, his))
         best: dict[int, int] = {}
         for part in parts:
             for val, mask in part.items():
                 if val not in best or mask < best[val]:
                     best[val] = mask
-    elif not early:
-        best = _scan_masks(G, 0, total, cfg)
     else:
-        full = (1 << G.m) - 1
-        best = {}
-        for mask in range(total):
-            if G.m and mask & 1:
-                continue
-            res = min_mag_set(orient(G, mask), cfg)
-            if not res.optimal:
-                raise BudgetExceededError("solver budget exhausted during spectrum scan")
-            cand = min(mask, full ^ mask)
-            if res.size not in best or cand < best[res.size]:
-                best[res.size] = cand
-            if stop_at_two and 2 in best:
-                break
-            if stop_at_n and G.n in best:
-                break
+        best = _scan_masks(G, 0, total, cfg, stop_at_two, stop_at_n)
     values = frozenset(best)
     mag_minus, mag_plus = min(values), max(values)
     return SpectrumResult(
@@ -131,10 +130,6 @@ def spectrum(
         witness_min=best[mag_minus],
         witness_max=best[mag_plus],
     )
-
-
-def _scan_masks_star(args: tuple) -> dict[int, int]:
-    return _scan_masks(*args)
 
 
 def mag_plus_at_least_n(G: UndirectedGraph, max_edges: int = DEFAULT_EDGE_CAP) -> bool:

@@ -150,3 +150,69 @@ def undirected_deletion_pair_masks(G: UndirectedGraph) -> list[int]:
                 if base[x][y] != UNREACHABLE and avoid[y] > base[x][y]:
                     masks[(x, y)] |= 1 << e
     return list(masks.values())
+
+
+# ---------------------------------------------------------------------------
+# Set-based forcing oracle: the rules written over arc and neighbour sets,
+# one vertex pair at a time.  Returns rule names and witnesses.
+
+
+def _set_bypasses(g: OrientedGraph, arcs: frozenset, v: int, u: int, w: int) -> bool:
+    """Whether u reaches w in at most two steps without passing through v."""
+    if (u, w) in arcs:
+        return True
+    return any(z != v and z != w and (z, w) in arcs for z in g.out_neighbors[u])
+
+
+def _set_cond_ii(g: OrientedGraph, v: int, arcs: frozenset):
+    outs = g.out_neighbors[v]
+    return next((u for u in g.in_neighbors[v] if all(_set_bypasses(g, arcs, v, u, w) for w in outs)), None)
+
+
+def _set_cond_iii(g: OrientedGraph, v: int, arcs: frozenset):
+    ins = g.in_neighbors[v]
+    return next((w for w in g.out_neighbors[v] if all(_set_bypasses(g, arcs, v, u, w) for u in ins)), None)
+
+
+def set_forced_reasons(g: OrientedGraph) -> dict[int, tuple[str, int | None]]:
+    """vertex -> (rule name, witness) by sources/sinks, twins, then the two
+    bypass conditions, each vertex taking the first rule that applies."""
+    reasons: dict[int, tuple[str, int | None]] = {}
+    sources, sinks = g.sources_and_sinks()
+    for v in sorted(sources):
+        reasons[v] = ("source", None)
+    for v in sorted(sinks):
+        reasons.setdefault(v, ("sink", None))
+    nbhd = [(frozenset(g.in_neighbors[v]), frozenset(g.out_neighbors[v])) for v in range(g.n)]
+    for v in range(g.n):
+        if v in reasons:
+            continue
+        for u in range(g.n):
+            if u != v and nbhd[u] == nbhd[v]:
+                reasons[v] = ("twin", u)
+                break
+    arcs = frozenset(g.arcs)
+    for v in range(g.n):
+        if v in reasons:
+            continue
+        u = _set_cond_ii(g, v, arcs)
+        if u is not None:
+            reasons[v] = ("cond_ii", u)
+            continue
+        w = _set_cond_iii(g, v, arcs)
+        if w is not None:
+            reasons[v] = ("cond_iii", w)
+    return reasons
+
+
+def set_is_extremal(g: OrientedGraph) -> tuple[bool, int | None]:
+    """(True, None), or (False, least vertex that is neither a source, a sink,
+    nor satisfies a bypass condition)."""
+    sources, sinks = g.sources_and_sinks()
+    arcs = frozenset(g.arcs)
+    for v in range(g.n):
+        if v in sources or v in sinks:
+            continue
+        if _set_cond_ii(g, v, arcs) is None and _set_cond_iii(g, v, arcs) is None:
+            return False, v
+    return True, None

@@ -1,33 +1,49 @@
 """The shortest-path-DAG monitoring kernel against the deletion and
-path-counting oracles; the MEG optimality flag, the shared budget
-fallback and CLI input handling."""
+path-counting oracles; the bitset forcing rules, the trusted orientation,
+the lazy certificate and the parallel spectrum against their references;
+the MEG optimality flag, the shared budget fallback and CLI input
+handling."""
 import copy
 import io
 import json
 import pickle
+import random
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magsets import (
+    BadParamError,
     OrientedGraph,
     SolverConfig,
     Strategy,
     UndirectedGraph,
     edge_monitors_undirected,
+    forced_vertices,
     greedy_mag_set,
+    is_extremal,
     min_mag_set,
     min_meg_set,
     monitor_matrix,
     monitors_directed,
     monitors_directed_by_counting,
+    orient,
+    spectrum,
     write_edge_list,
 )
 from magsets.cli import build_parser, main
+from magsets.cover import CoverProblem, pair_rank, solve_cover_branch_bound
 from magsets.monitoring import undirected_monitor_pair_masks
 
-from helpers import deletion_pair_masks, undirected_deletion_pair_masks
+from helpers import (
+    deletion_pair_masks,
+    random_connected_undirected,
+    set_forced_reasons,
+    set_is_extremal,
+    undirected_deletion_pair_masks,
+)
 
 
 @st.composite
@@ -99,11 +115,38 @@ def test_undirected_masks_match_deletion_oracle(g):
 C8_CHORD = UndirectedGraph(8, tuple((i, (i + 1) % 8) for i in range(8)) + ((0, 4),))
 
 
+def _is_meg_set(G: UndirectedGraph, witness) -> bool:
+    masks = undirected_deletion_pair_masks(G)
+    covered = 0
+    for x, y in combinations(sorted(witness), 2):
+        covered |= masks[pair_rank(G.n, x, y)]
+    return covered == (1 << G.m) - 1
+
+
 def test_meg_reports_unproven_answer():
     res = min_meg_set(C8_CHORD, max_nodes=1)
-    assert not res.optimal and res.size == 8
+    assert not res.optimal and res.size < 8 and res.size == len(res.witness)
+    assert _is_meg_set(C8_CHORD, res.witness)
     res = min_meg_set(C8_CHORD)
     assert res.optimal and res.size == 4 and res.nodes > 0
+
+
+def test_meg_branch_and_bound_starts_from_all_vertices():
+    # more than 24 free vertices, so the search is branch-and-bound; started
+    # from all n vertices, not from the greedy, it returns the first optimal
+    # cover in search order (on these graphs the greedy is an optimal cover
+    # with other vertices)
+    for seed in (0, 4, 16, 18, 23, 24):
+        G = random_connected_undirected(random.Random(seed), 40, extra=5)
+        forced = frozenset(v for v in range(G.n) if G.degree(v) == 1)
+        assert G.n - len(forced) > 24
+        problem = CoverProblem(
+            G.n, (1 << G.m) - 1, undirected_monitor_pair_masks(G), forced, max(2, len(forced))
+        )
+        expected = solve_cover_branch_bound(problem)
+        res = min_meg_set(G)
+        assert res.optimal and expected.optimal
+        assert (res.size, res.witness, res.nodes) == (expected.size, expected.witness, expected.nodes)
 
 
 def test_budget_fallback_keeps_greedy_on_both_strategies():
@@ -126,7 +169,8 @@ def test_meg_cli_flags_unproven(capsys, monkeypatch):
     rc, out = _run(capsys, monkeypatch, ["meg", "-", "--budget", "1"], io.StringIO(text))
     assert rc == 3
     result = json.loads(out.out)["result"]
-    assert result["optimal"] is False and result["size"] == 8
+    assert result["optimal"] is False and result["size"] < 8
+    assert _is_meg_set(C8_CHORD, result["witness"])
     rc, out = _run(capsys, monkeypatch, ["meg", "-"], io.StringIO(text))
     assert rc == 0 and json.loads(out.out)["result"] == {
         "size": 4,
@@ -147,3 +191,106 @@ def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, monkeypatch):
 
 def test_spectrum_runs_serial_by_default():
     assert build_parser().parse_args(["spectrum", "-"]).threads == 1
+
+
+# ---------------------------------------------------------------------------
+# Fast paths against their references
+
+
+@settings(max_examples=150, deadline=None)
+@given(oriented_graphs())
+def test_bitset_forcing_matches_set_oracle(g):
+    reasons = {v: (rule.value, wit) for v, (rule, wit) in forced_vertices(g).reasons.items()}
+    assert reasons == set_forced_reasons(g)
+    assert forced_vertices(g).vertices == frozenset(reasons)
+    if g.is_weakly_connected():
+        assert is_extremal(g) == set_is_extremal(g)
+
+
+@st.composite
+def orientations(draw, max_n: int = 10):
+    """An undirected graph (any edge set on at most ``max_n`` vertices,
+    given in any order) and one orientation mask of it."""
+    n = draw(st.integers(0, max_n))
+    slots = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+    edges = [(j, i) if draw(st.booleans()) else (i, j) for (i, j), k in zip(slots, keep) if k]
+    edges = draw(st.permutations(edges))
+    G = UndirectedGraph(n, tuple(edges))
+    return G, draw(st.integers(0, (1 << G.m) - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(orientations())
+def test_orient_equals_validated_graph(case):
+    G, mask = case
+    arcs = tuple((v, u) if mask >> i & 1 else (u, v) for i, (u, v) in enumerate(G.edges))
+    g = orient(G, mask)
+    assert g == OrientedGraph(G.n, arcs)
+    assert pickle.loads(pickle.dumps(g)) == g
+
+
+def _eager_certificate(g: OrientedGraph, witness) -> dict[int, tuple[int, int]]:
+    """Per arc, the first witness pair in lexicographic order whose
+    deletion-oracle mask holds it."""
+    masks = deletion_pair_masks(g)
+    cert: dict[int, tuple[int, int]] = {}
+    for x, y in combinations(sorted(witness), 2):
+        for a in range(g.m):
+            if a not in cert and masks[pair_rank(g.n, x, y)] >> a & 1:
+                cert[a] = (x, y)
+    return cert
+
+
+@settings(max_examples=60, deadline=None)
+@given(oriented_graphs(max_n=8))
+def test_lazy_coverage_equals_eager_certificate(g):
+    res = min_mag_set(g)
+    unread = pickle.loads(pickle.dumps(res))
+    want = _eager_certificate(g, res.witness)
+    assert set(want) == set(range(g.m))
+    assert res.coverage == want
+    assert unread.coverage == want  # built after the round trip
+    assert pickle.loads(pickle.dumps(res)).coverage == want  # carried over
+    assert unread == res
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_serial_spectrum_equals_pool(seed):
+    rng = random.Random(seed)
+    G = random_connected_undirected(rng, rng.randint(5, 6), extra=rng.randint(2, 3))
+    assert G.m >= 6  # large enough for the pool to be used
+    assert spectrum(G, threads=2) == spectrum(G)
+
+
+def test_pool_with_early_exit_is_rejected(capsys, monkeypatch):
+    G = UndirectedGraph(6, tuple((i, (i + 1) % 6) for i in range(6)))
+    for flags in ({"stop_at_two": True}, {"stop_at_n": True}):
+        with pytest.raises(BadParamError):
+            spectrum(G, threads=2, **flags)
+        assert spectrum(G, **flags).spectrum <= spectrum(G).spectrum
+    rc, out = _run(
+        capsys, monkeypatch, ["spectrum", "-", "--threads", "2", "--stop-at-two"],
+        io.StringIO(write_edge_list(G)),
+    )
+    assert rc == 1 and out.out == "" and "serial" in out.err
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    text = write_edge_list(UndirectedGraph(5, tuple((i, (i + 1) % 5) for i in range(5))))
+    runs = [
+        ["spectrum", "-", "--stop-at-two", "--budget", "5000"],
+        ["spectrum", "-"],
+        ["spectrum", "-", "--stop-at-two", "--budget", "5000"],
+    ]
+    results = []
+    for argv in runs:
+        rc, out = _run(capsys, monkeypatch, argv, io.StringIO(text))
+        assert rc == 0
+        results.append(json.loads(out.out)["result"])
+    assert results[0] == results[2] != results[1]
+    assert results[1]["spectrum"] == [2, 3, 4]
+    args = build_parser().parse_args(["spectrum", "-"])
+    assert not args.stop_at_two and args.budget == 10_000_000

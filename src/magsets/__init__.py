@@ -6,6 +6,7 @@ generators for the analyzed graph families, and the two hardness gadget
 constructions with brute-force verification oracles.
 """
 
+from .cover import Strategy
 from .digraph import (
     UNREACHABLE,
     OrientedGraph,
@@ -76,7 +77,7 @@ from .reductions import (
     verify_vc_reduction,
     write_nae3sat,
 )
-from .solver import MagResult, SolverConfig, Strategy, greedy_mag_set, mag_lower_bound, min_mag_set
+from .solver import MagResult, SolverConfig, greedy_mag_set, mag_lower_bound, min_mag_set
 from .spectrum import SpectrumResult, mag_plus_at_least_n, orient, spectrum
 
 __version__ = "0.1.0"

@@ -14,13 +14,33 @@ A greedy cover is built only when a search needs one: as the
 branch-and-bound incumbent, or as the sweep's answer when its budget runs
 out.  Tie-breaking is by lowest vertex index everywhere, so the witness is
 reproducible bit-for-bit.
+
+Nodes that cannot have a child are not entered.  A search node is one
+candidate vertex set.  In branch-and-bound, every child of a node that is
+not a cover adds at least one vertex: the node's coverage is exactly that
+of its set, so no pair inside the set holds an uncovered target.  So a node
+one vertex short of the best cover so far has no child, and returns right
+after its cover test.  At a node two vertices short, every child within the
+bound adds one vertex and is such a leaf; the node counts each one as a
+node and one unit of the budget, in pair order, and tests it inline.  It
+returns at the first cover, which puts every later sibling at the bound.
+The sweep tests the sets of the size being tried inline in the same way.
+The nodes counted, their order, the witnesses and the node at which an
+exhausted budget stops are those of a search that enters every node.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from typing import Sequence
 
 from .errors import BadParamError
+
+
+class Strategy(Enum):
+    AUTO = "auto"
+    CARDINALITY_SWEEP = "sweep"
+    BRANCH_AND_BOUND = "bnb"
 
 
 def pair_rank(n: int, x: int, y: int) -> int:
@@ -86,10 +106,11 @@ def coverage_of(problem: CoverProblem, vertices: tuple[int, ...] | list[int]) ->
 def solve_cover_sweep(problem: CoverProblem, max_nodes: int = 10_000_000) -> CoverSolution:
     """Smallest superset of the forced set covering everything."""
     budget = _Budget(max_nodes)
+    full = problem.full_mask
     forced = tuple(sorted(problem.forced))
     free = [v for v in range(problem.n) if v not in problem.forced]
     base = coverage_of(problem, forced)
-    if base == problem.full_mask and len(forced) >= problem.lower_bound:
+    if base == full and len(forced) >= problem.lower_bound:
         return CoverSolution(len(forced), forced, True, 0)
     rows = pair_rows(problem.n, problem.pair_masks)
     with_forced = {v: 0 for v in free}
@@ -105,13 +126,24 @@ def solve_cover_sweep(problem: CoverProblem, max_nodes: int = 10_000_000) -> Cov
 
     def rec(start: int, chosen: list[int], cov: int, remaining: int) -> bool:
         nonlocal nodes, found
-        if remaining == 0:
+        if remaining == 0:  # only when the forced set alone is tried
             nodes += 1
             if not budget.spend():
                 raise _BudgetStop
-            if cov == problem.full_mask:
-                found = list(chosen)
-                return True
+            return cov == full
+        if remaining == 1:  # the leaves, tested here in the order they would be visited
+            for idx in range(start, len(free)):
+                v = free[idx]
+                extra = with_forced[v]
+                row_v = rows[v]
+                for c in chosen:
+                    extra |= row_v[c]
+                nodes += 1
+                if not budget.spend():
+                    raise _BudgetStop
+                if cov | extra == full:
+                    found = chosen + [v]
+                    return True
             return False
         for idx in range(start, len(free) - remaining + 1):
             v = free[idx]
@@ -195,11 +227,14 @@ def solve_cover_branch_bound(
         nodes += 1
         if not budget.spend():
             raise _BudgetStop
-        if len(chosen) >= len(best):
+        k, limit = len(chosen), len(best)
+        if k >= limit:
             return
         if cov == full:
             best = sorted(chosen)
             return
+        if k + 1 >= limit:
+            return  # every child adds a vertex, so none beats the bound
         uncovered = full & ~cov
         for bit in order:
             if uncovered & bit:
@@ -208,7 +243,28 @@ def solve_cover_branch_bound(
         if pick_pairs is None:
             pm = problem.pair_masks
             pick_pairs = admissible[bit] = [key for key, mk in zip(keys, pm) if mk & bit]
-        k, limit = len(chosen), len(best)
+        if k + 2 == limit:
+            # every child within the bound adds one vertex and is a leaf:
+            # count and test each here, and stop at the first cover, which
+            # puts every later sibling at the bound
+            for x, y in pick_pairs:
+                if x in chosen:
+                    v = y
+                elif y in chosen:
+                    v = x
+                else:
+                    continue
+                nodes += 1
+                if not budget.spend():
+                    raise _BudgetStop
+                extra = 0
+                row_v = rows[v]
+                for c in chosen:
+                    extra |= row_v[c]
+                if cov | extra == full:
+                    best = sorted(chosen | {v})
+                    return
+            return
         for x, y in pick_pairs:
             add_x, add_y = x not in chosen, y not in chosen
             if k + add_x + add_y >= limit:
@@ -268,24 +324,25 @@ def greedy_cover(problem: CoverProblem) -> tuple[int, ...]:
 def solve_cover(
     problem: CoverProblem,
     max_nodes: int = 10_000_000,
-    strategy: str = "auto",
+    strategy: Strategy = Strategy.AUTO,
     greedy_incumbent: bool = True,
 ) -> CoverSolution:
-    """Solve with the chosen strategy.  The :func:`greedy_cover` is built
-    only when a search needs it: as the branch-and-bound incumbent (with
+    """Solve with the chosen strategy; ``AUTO`` sweeps when at most 24
+    vertices are free.  The :func:`greedy_cover` is built only when a
+    search needs it: as the branch-and-bound incumbent (with
     ``greedy_incumbent`` false the search starts from all n vertices
     instead), or when the budget runs out before an optimum is proven,
     when it is returned in place of a larger best-so-far."""
-    if strategy == "auto":
-        strategy = "sweep" if problem.n - len(problem.forced) <= 24 else "bnb"
+    if strategy is Strategy.AUTO:
+        sweep = problem.n - len(problem.forced) <= 24
+    else:
+        sweep = strategy is Strategy.CARDINALITY_SWEEP
     greedy = None
-    if strategy == "sweep":
+    if sweep:
         solution = solve_cover_sweep(problem, max_nodes)
-    elif strategy == "bnb":
+    else:
         greedy = greedy_cover(problem) if greedy_incumbent else None
         solution = solve_cover_branch_bound(problem, max_nodes, greedy)
-    else:
-        raise BadParamError(f"unknown strategy {strategy!r}")
     if not solution.optimal:
         greedy = greedy or greedy_cover(problem)
         if len(greedy) < solution.size:

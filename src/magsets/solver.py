@@ -7,19 +7,12 @@ different components monitors nothing, so the problem is additive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from typing import Optional
 
-from .cover import CoverProblem, greedy_cover, pair_rank, solve_cover
+from .cover import CoverProblem, Strategy, greedy_cover, pair_rank, solve_cover
 from .digraph import OrientedGraph
 from .monitoring import MonitorMatrix, forced_vertices, monitor_matrix
-
-
-class Strategy(Enum):
-    AUTO = "auto"
-    CARDINALITY_SWEEP = "sweep"
-    BRANCH_AND_BOUND = "bnb"
 
 
 @dataclass(frozen=True)
@@ -105,7 +98,7 @@ def _solve_connected(g: OrientedGraph, cfg: SolverConfig) -> MagResult:
         forced=forced,
         lower_bound=mag_lower_bound(g, seed) if cfg.use_forcing else 2,
     )
-    solution = solve_cover(problem, max_nodes=cfg.max_nodes, strategy=cfg.strategy.value)
+    solution = solve_cover(problem, max_nodes=cfg.max_nodes, strategy=cfg.strategy)
     return MagResult(
         solution.size, solution.witness, forced, solution.optimal, solution.nodes,
         _graph=g, _matrix=matrix,

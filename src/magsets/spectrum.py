@@ -21,7 +21,7 @@ from .errors import (
     WidthMismatchError,
 )
 from .monitoring import is_extremal
-from .solver import SolverConfig, min_mag_set
+from .solver import SolverConfig, _solve_connected, min_mag_set
 
 DEFAULT_EDGE_CAP = 20
 
@@ -65,11 +65,15 @@ def _scan_masks(
     mask (counting each evaluated mask and its complement).  Stops early
     once mag 2 (``stop_at_two``) or mag n (``stop_at_n``) is attained."""
     full = (1 << G.m) - 1
+    # G is connected, so each orientation is weakly connected and needs no
+    # split into components; without arcs (one vertex at most) the general
+    # solve gives mag 0, where the connected one would force the vertex
+    solve = _solve_connected if G.m else min_mag_set
     best: dict[int, int] = {}
     for mask in range(lo, hi):
         if G.m and mask & 1:
             continue
-        res = min_mag_set(orient(G, mask), cfg)
+        res = solve(orient(G, mask), cfg)
         if not res.optimal:
             raise BudgetExceededError("solver budget exhausted during spectrum scan")
         cand = min(mask, full ^ mask)

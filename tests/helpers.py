@@ -4,8 +4,10 @@ from __future__ import annotations
 import random
 from collections import deque
 from itertools import combinations
+from typing import Sequence
 
 from magsets import UNREACHABLE, OrientedGraph, UndirectedGraph, is_mag_set, monitor_matrix
+from magsets.cover import CoverProblem, CoverSolution, _bit_counts, coverage_of, pair_rows
 
 
 def random_oriented(rng: random.Random, n: int, p: float = 0.5) -> OrientedGraph:
@@ -216,3 +218,158 @@ def set_is_extremal(g: OrientedGraph) -> tuple[bool, int | None]:
         if _set_cond_ii(g, v, arcs) is None and _set_cond_iii(g, v, arcs) is None:
             return False, v
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# Reference cover searches: the sweep and branch-and-bound that recurse
+# into every node, leaves and childless nodes included.  The library's
+# searches must match them in size, witness, optimality and node count,
+# budget stops included.
+
+
+class _Budget:
+    __slots__ = ("left",)
+
+    def __init__(self, max_nodes: int) -> None:
+        if max_nodes <= 0:
+            raise ValueError("node budget must be positive")
+        self.left = max_nodes
+
+    def spend(self) -> bool:
+        self.left -= 1
+        return self.left >= 0
+
+
+class _BudgetStop(Exception):
+    pass
+
+
+def solve_cover_sweep(problem: CoverProblem, max_nodes: int = 10_000_000) -> CoverSolution:
+    """Smallest superset of the forced set covering everything."""
+    budget = _Budget(max_nodes)
+    forced = tuple(sorted(problem.forced))
+    free = [v for v in range(problem.n) if v not in problem.forced]
+    base = coverage_of(problem, forced)
+    if base == problem.full_mask and len(forced) >= problem.lower_bound:
+        return CoverSolution(len(forced), forced, True, 0)
+    rows = pair_rows(problem.n, problem.pair_masks)
+    with_forced = {v: 0 for v in free}
+    for v in free:
+        acc = 0
+        row_v = rows[v]
+        for f in forced:
+            acc |= row_v[f]
+        with_forced[v] = acc
+
+    nodes = 0
+    found: list[int] | None = None
+
+    def rec(start: int, chosen: list[int], cov: int, remaining: int) -> bool:
+        nonlocal nodes, found
+        if remaining == 0:
+            nodes += 1
+            if not budget.spend():
+                raise _BudgetStop
+            if cov == problem.full_mask:
+                found = list(chosen)
+                return True
+            return False
+        for idx in range(start, len(free) - remaining + 1):
+            v = free[idx]
+            extra = with_forced[v]
+            row_v = rows[v]
+            for c in chosen:
+                extra |= row_v[c]
+            chosen.append(v)
+            if rec(idx + 1, chosen, cov | extra, remaining - 1):
+                return True
+            chosen.pop()
+        return False
+
+    start_k = max(problem.lower_bound, len(forced))
+    try:
+        for k in range(start_k, problem.n + 1):
+            if rec(0, [], base, k - len(forced)):
+                assert found is not None
+                witness = tuple(sorted(forced + tuple(found)))
+                return CoverSolution(k, witness, True, nodes)
+    except _BudgetStop:
+        fallback = tuple(range(problem.n))
+        return CoverSolution(problem.n, fallback, False, nodes)
+    finally:
+        del rec  # rec refers to itself: unbind it so the search state is freed now
+    # full vertex set always covers (callers only pose feasible problems)
+    raise AssertionError("sweep exhausted without finding a cover")
+
+
+def solve_cover_branch_bound(
+    problem: CoverProblem,
+    max_nodes: int = 10_000_000,
+    upper_witness: Sequence[int] | None = None,
+) -> CoverSolution:
+    """Branch over the admissible pairs of a most-constrained uncovered
+    target, starting from the known cover ``upper_witness`` (all n
+    vertices when none is given)."""
+    budget = _Budget(max_nodes)
+    n = problem.n
+    full = problem.full_mask
+    forced = tuple(sorted(problem.forced))
+    best = sorted(upper_witness) if upper_witness is not None else list(range(n))
+    root_cov = coverage_of(problem, forced)
+    if root_cov == full and len(forced) < len(best):
+        return CoverSolution(len(forced), forced, True, 1)  # the root is a cover
+
+    rows = pair_rows(n, problem.pair_masks)
+    # the most-constrained uncovered target is the first uncovered one in
+    # this order: fewest admissible pairs, ties to the lowest index
+    counts = _bit_counts(problem.pair_masks, full.bit_length())
+    order = [1 << t for t in sorted(range(len(counts)), key=lambda t: (counts[t], t))]
+    keys = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    admissible: dict[int, list[tuple[int, int]]] = {}  # target bit -> its pairs, in lex order
+    nodes = 0
+
+    def rec(chosen: set[int], cov: int) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        if not budget.spend():
+            raise _BudgetStop
+        if len(chosen) >= len(best):
+            return
+        if cov == full:
+            best = sorted(chosen)
+            return
+        uncovered = full & ~cov
+        for bit in order:
+            if uncovered & bit:
+                break
+        pick_pairs = admissible.get(bit)
+        if pick_pairs is None:
+            pm = problem.pair_masks
+            pick_pairs = admissible[bit] = [key for key, mk in zip(keys, pm) if mk & bit]
+        k, limit = len(chosen), len(best)
+        for x, y in pick_pairs:
+            add_x, add_y = x not in chosen, y not in chosen
+            if k + add_x + add_y >= limit:
+                continue
+            extra = 0
+            new = set(chosen)
+            if add_x:
+                row_x = rows[x]
+                for c in chosen:
+                    extra |= row_x[c]
+                new.add(x)
+            if add_y:
+                row_y = rows[y]
+                for c in new:
+                    extra |= row_y[c]
+                new.add(y)
+            rec(new, cov | extra)
+            limit = len(best)
+
+    try:
+        rec(set(forced), root_cov)
+    except _BudgetStop:
+        return CoverSolution(len(best), tuple(best), False, nodes)
+    finally:
+        del rec  # rec refers to itself: unbind it so the search state is freed now
+    return CoverSolution(len(best), tuple(best), True, nodes)

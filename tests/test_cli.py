@@ -40,6 +40,18 @@ def test_mag_reads_file(tmp_path, capsys, monkeypatch):
     assert rc == 0 and report["result"]["size"] == 2
 
 
+def test_mag_strategy_choices(capsys, monkeypatch):
+    # each choice reaches the search: auto sweeps here, and branch-and-bound
+    # proves the same optimum in fewer nodes
+    c8_chord = "directed 8 9\n0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n7 0\n0 4\n"
+    reports = {}
+    for choice in ("auto", "sweep", "bnb"):
+        rc, report, _ = run_json(capsys, monkeypatch, ["mag", "-", "--strategy", choice], c8_chord)
+        assert rc == 0
+        reports[choice] = (report["result"]["witness"], report["stats"]["nodes"])
+    assert reports == {"auto": ([0, 1, 4], 31), "sweep": ([0, 1, 4], 31), "bnb": ([0, 1, 4], 11)}
+
+
 def test_meg_command(capsys, monkeypatch):
     rc, report, _ = run_json(capsys, monkeypatch, ["meg", "-"], C6_UNDIRECTED)
     assert rc == 0 and report["result"]["size"] == 3

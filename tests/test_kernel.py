@@ -1,8 +1,8 @@
 """The shortest-path-DAG monitoring kernel against the deletion and
 path-counting oracles; the bitset forcing rules, the trusted orientation,
-the lazy certificate and the parallel spectrum against their references;
-the MEG optimality flag, the shared budget fallback and CLI input
-handling."""
+the lazy certificate, the parallel spectrum and the cover searches against
+their references; the MEG optimality flag, the shared budget fallback and
+CLI input handling."""
 import copy
 import io
 import json
@@ -11,7 +11,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from magsets import (
@@ -34,12 +34,20 @@ from magsets import (
     write_edge_list,
 )
 from magsets.cli import build_parser, main
-from magsets.cover import CoverProblem, pair_rank, solve_cover_branch_bound
+from magsets.cover import (
+    CoverProblem,
+    greedy_cover,
+    pair_rank,
+    solve_cover_branch_bound,
+    solve_cover_sweep,
+)
 from magsets.monitoring import undirected_monitor_pair_masks
 
+import helpers
 from helpers import (
     deletion_pair_masks,
     random_connected_undirected,
+    random_oriented,
     set_forced_reasons,
     set_is_extremal,
     undirected_deletion_pair_masks,
@@ -294,3 +302,36 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
     assert results[1]["spectrum"] == [2, 3, 4]
     args = build_parser().parse_args(["spectrum", "-"])
     assert not args.stop_at_two and args.budget == 10_000_000
+
+
+@st.composite
+def cover_problems(draw) -> CoverProblem:
+    """The MAG cover problem of a sparse or dense random oriented graph with
+    arcs on at most 14 vertices, seeded with its forced set or not."""
+    n = draw(st.integers(2, 14))
+    p = draw(st.sampled_from((0.2, 0.3, 0.5, 0.8)))
+    g = random_oriented(random.Random(draw(st.integers(0, 2**32 - 1))), n, p)
+    assume(g.m > 0)
+    forced = forced_vertices(g).vertices if draw(st.booleans()) else frozenset()
+    lower = draw(st.sampled_from((0, 2, len(forced))))
+    return CoverProblem(g.n, (1 << g.m) - 1, monitor_matrix(g).pair_arcs, forced, lower)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cover_problems(), st.data())
+def test_cover_searches_match_reference(problem, data):
+    # a budget one short of the reference's node count stops the search on
+    # its last node, a drawn one anywhere: a leaf left uncounted, or counted
+    # after its cover test, changes the node count or the best cover held
+    # when the budget runs out
+    searches = [
+        (solve_cover_sweep, helpers.solve_cover_sweep, ()),
+        (solve_cover_branch_bound, helpers.solve_cover_branch_bound, ()),
+        (solve_cover_branch_bound, helpers.solve_cover_branch_bound, (greedy_cover(problem),)),
+    ]
+    for fast, reference, known in searches:
+        total = reference(problem, 10_000_000, *known).nodes
+        budgets = {1, max(1, total - 1), max(1, total), 10_000_000}
+        budgets.add(data.draw(st.integers(1, total + 1)))
+        for budget in sorted(budgets):
+            assert fast(problem, budget, *known) == reference(problem, budget, *known)

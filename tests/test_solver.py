@@ -11,6 +11,7 @@ from magsets import (
     greedy_mag_set,
     is_mag_set,
     min_mag_set,
+    orient,
 )
 from magsets.families import (
     cycle_c0,
@@ -22,7 +23,12 @@ from magsets.families import (
     transitive_tournament,
 )
 
-from helpers import brute_min_mag, random_connected_oriented, random_oriented
+from helpers import (
+    brute_min_mag,
+    random_connected_oriented,
+    random_connected_undirected,
+    random_oriented,
+)
 
 
 def test_empty_and_trivial():
@@ -50,6 +56,33 @@ def test_strategies_agree():
         bnb = min_mag_set(g, SolverConfig(strategy=Strategy.BRANCH_AND_BOUND))
         assert sweep.size == bnb.size
         assert is_mag_set(g, bnb.witness)[0]
+
+
+# (size, nodes, optimal, witness) under a 20,000-node budget for random
+# orientations of connected 40-vertex, 70-edge graphs, as the search that
+# enters every node found them: a change in search order moves a node count,
+# or the best cover held when the budget runs out
+GOLDEN_SEARCHES = {
+    0: (23, 11379, True, (0, 3, 4, 6, 8, 11, 12, 14, 15, 16, 22, 23, 24, 25, 26, 28, 30, 31,
+                          32, 33, 34, 36, 39)),
+    2: (25, 20001, False, (0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 14, 15, 18, 21, 23, 26, 27, 28,
+                           29, 31, 34, 36, 37, 39)),
+    187: (18, 14581, True, (0, 3, 7, 9, 11, 12, 14, 16, 22, 24, 26, 29, 30, 32, 34, 35, 38, 39)),
+    91: (17, 20001, False, (4, 5, 8, 9, 10, 12, 15, 16, 18, 19, 22, 23, 24, 30, 32, 33, 35)),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_SEARCHES))
+def test_golden_node_counts(seed):
+    rng = random.Random(seed)
+    G = random_connected_undirected(rng, 40, extra=31)
+    g = orient(G, rng.getrandbits(G.m))
+    res = min_mag_set(g, SolverConfig(max_nodes=20_000))
+    # seeds 0 and 2 leave at most 24 vertices free, so they sweep; 187 and 91
+    # branch and bound
+    assert (g.n - len(res.forced) <= 24) == (seed in (0, 2))
+    assert (res.size, res.nodes, res.optimal, res.witness) == GOLDEN_SEARCHES[seed]
+    assert is_mag_set(g, res.witness)[0]
 
 
 def test_component_additivity():

@@ -4,6 +4,7 @@ import pytest
 
 from magsets import (
     DisconnectedInputError,
+    OrientedGraph,
     SolverConfig,
     TooManyEdgesError,
     UndirectedGraph,
@@ -56,16 +57,25 @@ def test_tree_spectrum_witnesses_check_out():
         assert sp.gap == sp.mag_plus - sp.mag_minus
 
 
-def test_reversal_symmetry_consistency():
+def test_reversal_symmetry_consistency(monkeypatch):
     # the scan only evaluates half of the masks; the reported values must
-    # match an honest full enumeration
+    # match an honest full enumeration.  It also solves each orientation as
+    # one component (every orientation of a connected graph is weakly
+    # connected), so it never asks for the components
     rng = random.Random(29)
-    for _ in range(5):
-        G = random_connected_undirected(rng, 6, extra=2)
+    graphs = [random_connected_undirected(rng, 6, extra=2) for _ in range(5)]
+    expected = [{min_mag_set(orient(G, mask)).size for mask in range(1 << G.m)} for G in graphs]
+
+    def no_split(self):
+        raise AssertionError("the spectrum scan split an orientation into components")
+
+    monkeypatch.setattr(OrientedGraph, "components", no_split)
+    for G, sizes in zip(graphs, expected):
         sp = spectrum(G)
-        sizes = {min_mag_set(orient(G, mask)).size for mask in range(1 << G.m)}
         assert sp.spectrum == frozenset(sizes)
         assert sp.mag_minus == min(sizes) and sp.mag_plus == max(sizes)
+    # no arcs: the single vertex has mag 0, not a forced vertex of its own
+    assert spectrum(UndirectedGraph(1, ())).spectrum == frozenset({0})
 
 
 def test_disconnected_and_oversized_rejected():

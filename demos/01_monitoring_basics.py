@@ -4,9 +4,9 @@ A pair {x, y} monitors an arc when the arc lies on every shortest directed
 path from x to y (or from y to x).  Deleting a monitored arc therefore
 strictly increases that distance -- that is the whole detection idea.
 """
-from magsets import build_oriented, is_mag_set, min_mag_set, monitor_matrix, pair_monitors
+from magsets import OrientedGraph, is_mag_set, min_mag_set, monitor_matrix, pair_monitors
 
-g = build_oriented(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
+g = OrientedGraph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)))
 print("graph:", g.arcs)
 
 mat = monitor_matrix(g)

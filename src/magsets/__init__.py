@@ -11,7 +11,6 @@ from .digraph import (
     UNREACHABLE,
     OrientedGraph,
     UndirectedGraph,
-    build_oriented,
     find_shortest_cycle,
 )
 from .errors import (

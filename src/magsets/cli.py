@@ -37,7 +37,6 @@ from .families import (
 from .formats import parse_edge_list, to_dot, write_edge_list
 from .monitoring import forced_vertices, is_extremal, min_meg_set
 from .reductions import (
-    Nae3SatInstance,
     VertexCoverInstance,
     nae3sat_to_graph,
     parse_nae3sat,
@@ -344,16 +343,20 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
-    if needs_input:
-        p.add_argument("input", nargs="?", default="-", help="edge-list file or '-' for stdin")
-    p.add_argument("--json", action="store_true", help="JSON output (the default for analysis commands)")
-    p.add_argument("--budget", type=int, default=10_000_000, help="search-node budget")
-    p.add_argument("--strategy", choices=[s.value for s in Strategy], default="auto")
-    p.add_argument("--threads", type=int, default=1, help="spectrum worker processes (1 = serial)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["edgelist", "dot"], default="edgelist")
-    p.add_argument("--max-edges", type=int, default=DEFAULT_EDGE_CAP, help="orientation-enumeration cap")
+# the options shared by the analysis commands; each command takes the ones it reads
+_OPTIONS = {
+    "--budget": dict(type=int, default=10_000_000, help="search-node budget"),
+    "--strategy": dict(choices=[s.value for s in Strategy], default="auto"),
+    "--max-edges": dict(type=int, default=DEFAULT_EDGE_CAP, help="orientation-enumeration cap"),
+    "--threads": dict(type=int, default=1, help="spectrum worker processes (1 = serial)"),
+    "--seed": dict(type=int, default=0),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *options: str) -> None:
+    p.add_argument("input", nargs="?", default="-", help="edge-list file or '-' for stdin")
+    for option in options:
+        p.add_argument(option, **_OPTIONS[option])
 
 
 @functools.lru_cache(maxsize=None)
@@ -365,21 +368,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mag", help="exact minimum MAG-set of an oriented graph")
-    _add_common(p)
+    _add_common(p, "--budget", "--strategy")
     p.set_defaults(func=cmd_mag)
 
     p = sub.add_parser("meg", help="exact minimum MEG-set of an undirected graph")
-    _add_common(p)
+    _add_common(p, "--budget")
     p.set_defaults(func=cmd_meg)
 
     p = sub.add_parser("spectrum", help="mag over all orientations of an undirected graph")
-    _add_common(p)
+    _add_common(p, "--budget", "--strategy", "--max-edges", "--threads")
     p.add_argument("--stop-at-two", action="store_true", help="early exit once mag 2 is found")
     p.add_argument("--stop-at-n", action="store_true", help="early exit once mag n is found")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("extremal", help="extremal test (directed) or orientability to mag=n (undirected)")
-    _add_common(p)
+    _add_common(p, "--max-edges")
     p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("forced", help="vertices provably in every MAG-set")
@@ -412,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-check a reduction or closed form against oracles")
     p.add_argument("check", choices=["nae", "vc", "family", "thm32"])
-    _add_common(p)
+    _add_common(p, "--budget", "--strategy", "--max-edges", "--seed")
     p.add_argument("--k", type=int, default=0, help="vertex-cover budget (vc)")
     p.add_argument("--max-n", type=int, default=7, help="size cap for family/thm32 sweeps")
     p.add_argument("--samples", type=int, default=100, help="random samples for thm32")

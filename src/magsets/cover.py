@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 from .errors import BadParamError
@@ -57,6 +58,11 @@ class CoverProblem:
     pair_masks: Sequence[int]
     forced: frozenset[int] = frozenset()
     lower_bound: int = 0
+
+    @cached_property
+    def rows(self) -> list[list[int]]:
+        """:func:`pair_rows` of the pair masks, built once per problem."""
+        return pair_rows(self.n, self.pair_masks)
 
 
 @dataclass
@@ -112,7 +118,7 @@ def solve_cover_sweep(problem: CoverProblem, max_nodes: int = 10_000_000) -> Cov
     base = coverage_of(problem, forced)
     if base == full and len(forced) >= problem.lower_bound:
         return CoverSolution(len(forced), forced, True, 0)
-    rows = pair_rows(problem.n, problem.pair_masks)
+    rows = problem.rows
     with_forced = {v: 0 for v in free}
     for v in free:
         acc = 0
@@ -213,7 +219,7 @@ def solve_cover_branch_bound(
     if root_cov == full and len(forced) < len(best):
         return CoverSolution(len(forced), forced, True, 1)  # the root is a cover
 
-    rows = pair_rows(n, problem.pair_masks)
+    rows = problem.rows
     # the most-constrained uncovered target is the first uncovered one in
     # this order: fewest admissible pairs, ties to the lowest index
     counts = _bit_counts(problem.pair_masks, full.bit_length())
@@ -297,7 +303,7 @@ def greedy_cover(problem: CoverProblem) -> tuple[int, ...]:
     """A valid cover: the forced seed, then repeatedly the vertex covering
     the most new targets (ties to the lowest index), until everything is
     covered and at least one pair is chosen."""
-    rows = pair_rows(problem.n, problem.pair_masks)
+    rows = problem.rows
     full = problem.full_mask
     chosen = sorted(problem.forced)
     cov = coverage_of(problem, chosen)

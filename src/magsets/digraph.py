@@ -54,13 +54,15 @@ class OrientedGraph:
     """A simple digraph with at most one arc per unordered vertex pair.
 
     ``arcs`` is stored in canonical sorted order with stable indices
-    ``0..m-1``.  Use :func:`build_oriented` to construct with validation.
+    ``0..m-1``.
     """
 
     n: int
     arcs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise OutOfRangeError("vertex count must be non-negative")
         seen_pairs = set()
         for u, v in self.arcs:
             _check_vertex(u, self.n)
@@ -156,13 +158,6 @@ class OrientedGraph:
         return sigma
 
 
-def build_oriented(n: int, arcs: Sequence[tuple[int, int]]) -> OrientedGraph:
-    """Validate and canonicalize an oriented graph from an arc list."""
-    if n < 0:
-        raise OutOfRangeError("vertex count must be non-negative")
-    return OrientedGraph(n, tuple(arcs))
-
-
 @dataclass(frozen=True)
 class UndirectedGraph:
     """A simple undirected graph with canonically ordered edges."""
@@ -171,6 +166,8 @@ class UndirectedGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise OutOfRangeError("vertex count must be non-negative")
         canon = []
         seen = set()
         for u, v in self.edges:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional, Sequence
 
-from .digraph import OrientedGraph, UndirectedGraph, build_oriented, find_shortest_cycle
+from .digraph import OrientedGraph, UndirectedGraph, find_shortest_cycle
 from .errors import AcyclicError, BadParamError, NotATreeError, NotBipartiteError
 
 
@@ -16,14 +16,14 @@ def directed_path(n: int) -> OrientedGraph:
     """The path v1 -> v2 -> ... -> vn."""
     if n < 1:
         raise BadParamError("path needs n >= 1")
-    return build_oriented(n, [(i, i + 1) for i in range(n - 1)])
+    return OrientedGraph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_c0(n: int) -> OrientedGraph:
     """The cycle oriented all one way: no sources, no sinks."""
     if n < 3:
         raise BadParamError("cycle needs n >= 3")
-    return build_oriented(n, [(i, (i + 1) % n) for i in range(n)])
+    return OrientedGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
 def cycle_c1(n: int) -> OrientedGraph:
@@ -46,7 +46,7 @@ def _cycle_one_source_sink(n: int, d: int) -> OrientedGraph:
     arcs = [(i, i + 1) for i in range(d)]  # forward chain v1..v_{d+1}
     arcs += [(j + 1, j) for j in range(d, n - 1)]  # backward chain v_n..v_{d+2}
     arcs.append((0, n - 1))
-    return build_oriented(n, arcs)
+    return OrientedGraph(n, tuple(arcs))
 
 
 def cycle_c3(
@@ -88,7 +88,7 @@ def cycle_c3(
         while q not in role_at:
             q = (q - 1) % n
         arcs.append((p, (p + 1) % n) if role_at[q] == "src" else ((p + 1) % n, p))
-    return build_oriented(n, arcs)
+    return OrientedGraph(n, tuple(arcs))
 
 
 def cycle_orientation(
@@ -133,14 +133,14 @@ def rooted_tree_orientation(T: UndirectedGraph, root: int) -> OrientedGraph:
                 seen.add(w)
                 arcs.append((u, w))
                 queue.append(w)
-    return build_oriented(T.n, arcs)
+    return OrientedGraph(T.n, tuple(arcs))
 
 
 def transitive_tournament(n: int) -> OrientedGraph:
     """Arcs (i, j) for all i < j."""
     if n < 1:
         raise BadParamError("tournament needs n >= 1")
-    return build_oriented(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return OrientedGraph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def flipped_tournament(n: int) -> OrientedGraph:
@@ -151,7 +151,7 @@ def flipped_tournament(n: int) -> OrientedGraph:
     arcs = [(i, j) for i in range(n) for j in range(i + 1, n - 1)]
     arcs += [(n - 1, i) for i in range(n - 2)]
     arcs.append((n - 2, n - 1))
-    return build_oriented(n, arcs)
+    return OrientedGraph(n, tuple(arcs))
 
 
 def construction_gj(j: int) -> UndirectedGraph:
@@ -183,7 +183,7 @@ def bipartite_extremal_orientation(
     if any(u in a and v in a or u in b and v in b for u, v in G.edges):
         raise NotBipartiteError("an edge stays within one part")
     arcs = [(u, v) if u in a else (v, u) for u, v in G.edges]
-    return build_oriented(G.n, arcs)
+    return OrientedGraph(G.n, tuple(arcs))
 
 
 def girth_alternating_orientation(G: UndirectedGraph) -> OrientedGraph:
@@ -211,4 +211,4 @@ def girth_alternating_orientation(G: UndirectedGraph) -> OrientedGraph:
             arcs.append((v, u))
         else:
             arcs.append((u, v))
-    return build_oriented(G.n, arcs)
+    return OrientedGraph(G.n, tuple(arcs))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .digraph import OrientedGraph, UndirectedGraph, build_oriented
+from .digraph import OrientedGraph, UndirectedGraph
 from .errors import GraphError, ParseError
 
 Graph = Union[OrientedGraph, UndirectedGraph]
@@ -40,7 +40,7 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"bad edge line: {ln!r}") from None
     try:
         if header[0] == "directed":
-            return build_oriented(n, pairs)
+            return OrientedGraph(n, tuple(pairs))
         return UndirectedGraph(n, tuple(pairs))
     except GraphError as exc:
         raise ParseError(str(exc)) from exc

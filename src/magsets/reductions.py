@@ -17,14 +17,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Union
 
-from .digraph import OrientedGraph, UndirectedGraph, build_oriented
+from .digraph import OrientedGraph, UndirectedGraph
 from .errors import (
-    DisconnectedInputError,
     InvalidInstanceError,
     ParseError,
     TooLargeError,
 )
-from .monitoring import is_mag_set
 from .solver import SolverConfig, min_mag_set
 from .spectrum import DEFAULT_EDGE_CAP, mag_plus_at_least_n
 
@@ -217,7 +215,7 @@ def vc_to_mag_instance(inst: VertexCoverInstance) -> ReductionArtifact:
         + [f0 + j for j in range(m)]
         + [g0 + j for j in range(m)]
     )
-    graph = build_oriented(4 * n + 3 * m, arcs)
+    graph = OrientedGraph(4 * n + 3 * m, tuple(arcs))
     return ReductionArtifact(graph, roles, target=inst.k + 2 * n + 2 * m, forced_roles=forced)
 
 

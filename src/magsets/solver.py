@@ -19,7 +19,6 @@ from .monitoring import MonitorMatrix, forced_vertices, monitor_matrix
 class SolverConfig:
     max_nodes: int = 10_000_000
     strategy: Strategy = Strategy.AUTO
-    use_forcing: bool = True
 
 
 @dataclass(frozen=True)
@@ -56,20 +55,14 @@ class MagResult:
         return cert
 
 
-def greedy_mag_set(
-    g: OrientedGraph,
-    matrix: Optional[MonitorMatrix] = None,
-    forced: Optional[frozenset[int]] = None,
-) -> frozenset[int]:
+def greedy_mag_set(g: OrientedGraph) -> frozenset[int]:
     """A valid MAG-set: forced seed, then repeatedly the vertex covering the
     most new arcs (ties to the lowest index)."""
     if g.m == 0:
         return frozenset()
-    if matrix is None:
-        matrix = monitor_matrix(g)
-    if forced is None:
-        forced = forced_vertices(g).vertices
-    return frozenset(greedy_cover(CoverProblem(g.n, (1 << g.m) - 1, matrix.pair_arcs, forced)))
+    matrix = monitor_matrix(g)
+    problem = CoverProblem(g.n, (1 << g.m) - 1, matrix.pair_arcs, forced_vertices(g).vertices)
+    return frozenset(greedy_cover(problem))
 
 
 def mag_lower_bound(g: OrientedGraph, forced: Optional[frozenset[int]] = None) -> int:
@@ -89,14 +82,13 @@ def _solve_connected(g: OrientedGraph, cfg: SolverConfig) -> MagResult:
     """Build the matrix and the forced set once, then bound and search; the
     greedy cover is built only if the search asks for it."""
     matrix = monitor_matrix(g)
-    seed = forced_vertices(g).vertices
-    forced = seed if cfg.use_forcing else frozenset()
+    forced = forced_vertices(g).vertices
     problem = CoverProblem(
         n=g.n,
         full_mask=(1 << g.m) - 1,
         pair_masks=matrix.pair_arcs,
         forced=forced,
-        lower_bound=mag_lower_bound(g, seed) if cfg.use_forcing else 2,
+        lower_bound=mag_lower_bound(g, forced),
     )
     solution = solve_cover(problem, max_nodes=cfg.max_nodes, strategy=cfg.strategy)
     return MagResult(

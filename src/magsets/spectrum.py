@@ -3,8 +3,9 @@
 An orientation of an undirected graph is encoded by a bitmask with one bit
 per edge index: bit 0 means the arc runs (min, max), bit 1 the reverse.
 Reversing every arc preserves mag (monitoring checks both directions), so
-the enumeration evaluates only masks with bit 0 clear and mirrors each
-result onto the complementary mask.
+the enumeration evaluates only the masks with the top bit clear.  Each is
+the smaller mask of its reversal pair, so the first one scanned to attain a
+value is the smallest of all 2^m masks that attain it: its witness.
 """
 from __future__ import annotations
 
@@ -61,24 +62,19 @@ def _scan_masks(
     stop_at_two: bool = False,
     stop_at_n: bool = False,
 ) -> dict[int, int]:
-    """Evaluate even masks in [lo, hi); map mag value -> smallest attaining
-    mask (counting each evaluated mask and its complement).  Stops early
-    once mag 2 (``stop_at_two``) or mag n (``stop_at_n``) is attained."""
-    full = (1 << G.m) - 1
+    """Evaluate the masks in [lo, hi), each the smaller of its reversal
+    pair; map mag value -> first attaining mask.  Stops early once mag 2
+    (``stop_at_two``) or mag n (``stop_at_n``) is attained."""
     # G is connected, so each orientation is weakly connected and needs no
     # split into components; without arcs (one vertex at most) the general
     # solve gives mag 0, where the connected one would force the vertex
     solve = _solve_connected if G.m else min_mag_set
     best: dict[int, int] = {}
     for mask in range(lo, hi):
-        if G.m and mask & 1:
-            continue
         res = solve(orient(G, mask), cfg)
         if not res.optimal:
             raise BudgetExceededError("solver budget exhausted during spectrum scan")
-        cand = min(mask, full ^ mask)
-        if res.size not in best or cand < best[res.size]:
-            best[res.size] = cand
+        best.setdefault(res.size, mask)
         if (stop_at_two and 2 in best) or (stop_at_n and G.n in best):
             break
     return best
@@ -106,22 +102,21 @@ def spectrum(
     if threads > 1 and (stop_at_two or stop_at_n):
         raise BadParamError("early exit (stop at mag 2 or n) needs a serial scan: use 1 thread")
     cfg = cfg or SolverConfig()
-    total = 1 << G.m
+    total = 1 << max(G.m - 1, 0)  # the masks with the top bit clear
     if threads > 1 and G.m >= 6:
         # imported here: multiprocessing and its imports add ~2.5 MB of resident
         # memory that a serial scan never needs
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(64, total // (threads * 8))
+        chunk = max(32, total // (threads * 8))
         los = range(0, total, chunk)
         his = [min(lo + chunk, total) for lo in los]
         with ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(partial(_scan_masks, G, cfg=cfg), los, his))
         best: dict[int, int] = {}
-        for part in parts:
+        for part in parts:  # in mask order
             for val, mask in part.items():
-                if val not in best or mask < best[val]:
-                    best[val] = mask
+                best.setdefault(val, mask)
     else:
         best = _scan_masks(G, 0, total, cfg, stop_at_two, stop_at_n)
     values = frozenset(best)
@@ -153,9 +148,7 @@ def mag_plus_at_least_n(G: UndirectedGraph, max_edges: int = DEFAULT_EDGE_CAP) -
         return True
     if G.m > max_edges:
         raise TooManyEdgesError(f"{G.m} edges exceeds the cap of {max_edges}")
-    for mask in range(1 << G.m):
-        if mask & 1:
-            continue  # reversal symmetry: is_extremal is reversal-invariant
+    for mask in range(1 << (G.m - 1)):  # is_extremal is reversal-invariant
         if is_extremal(orient(G, mask))[0]:
             return True
     return False

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from magsets.cli import main
+from magsets.cli import build_parser, main
 
 C6_UNDIRECTED = "undirected 6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n"
 P4_DIRECTED = "directed 4 3\n0 1\n1 2\n2 3\n"
@@ -170,3 +170,60 @@ def test_budget_exit_code(capsys, monkeypatch):
     )
     assert rc == 3
     assert report["result"]["optimal"] is False
+
+
+@pytest.mark.parametrize("command, kind", [
+    ("mag", "directed"),
+    ("meg", "undirected"),
+    ("spectrum", "undirected"),
+    ("extremal", "directed"),
+    ("extremal", "undirected"),
+    ("forced", "directed"),
+    ("verify vc", "undirected"),
+    ("export-dot", "directed"),
+    ("export-dot", "undirected"),
+])
+def test_negative_vertex_count_exit_code(capsys, monkeypatch, command, kind):
+    rc, out, err = run(capsys, monkeypatch, [*command.split(), "-"], f"{kind} -1 0\n")
+    assert rc == 2 and out == ""
+    assert "vertex count must be non-negative" in err
+
+
+# the shared options each analysis command reads, and one value for each
+READS = {
+    "mag": {"--budget", "--strategy"},
+    "meg": {"--budget"},
+    "spectrum": {"--budget", "--strategy", "--max-edges", "--threads"},
+    "extremal": {"--max-edges"},
+    "forced": set(),
+    "verify": {"--budget", "--strategy", "--max-edges", "--seed"},
+    "export-dot": set(),
+}
+VALUES = {"--budget": "5", "--strategy": "bnb", "--max-edges": "9", "--threads": "2", "--seed": "3"}
+# the argv shapes of the benchmark's ops
+BENCHMARK_ARGV = {
+    "mag": ["mag", "op.txt", "--budget", "20000"],
+    "meg": ["meg", "op.txt", "--budget", "20000"],
+    "spectrum": ["spectrum", "op.txt", "--budget", "20000", "--threads", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_each_command_takes_only_the_flags_it_reads(command):
+    parser = build_parser()
+    head = ["verify", "family", "-"] if command == "verify" else [command, "-"]
+    for flag, value in VALUES.items():
+        if flag in READS[command]:
+            args = parser.parse_args(head + [flag, value])
+            assert str(getattr(args, flag[2:].replace("-", "_"))) == value
+        else:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(head + [flag, value])
+            assert exc.value.code == 2
+    for flag in (["--json"], ["--format", "dot"]):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(head + flag)
+        assert exc.value.code == 2
+    if command in BENCHMARK_ARGV:
+        args = parser.parse_args(BENCHMARK_ARGV[command])
+        assert (args.input, args.budget) == ("op.txt", 20000)

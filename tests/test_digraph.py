@@ -10,7 +10,6 @@ from magsets import (
     SelfLoopError,
     UndirectedGraph,
     UNREACHABLE,
-    build_oriented,
     find_shortest_cycle,
 )
 from magsets.families import cycle_c0, directed_path
@@ -34,11 +33,17 @@ def test_validation_rejects_bad_arcs():
         OrientedGraph(3, ((0, 3),))
 
 
+def test_negative_vertex_count_rejected():
+    for graph_type in (OrientedGraph, UndirectedGraph):
+        with pytest.raises(OutOfRangeError):
+            graph_type(-1, ())
+
+
 def test_arcs_are_canonically_ordered():
-    g = build_oriented(4, [(3, 2), (0, 1), (2, 0)])
+    g = OrientedGraph(4, ((3, 2), (0, 1), (2, 0)))
     assert g.arcs == ((0, 1), (2, 0), (3, 2))
     # reversing a direction keeps the arc's position in the order
-    h = build_oriented(4, [(2, 3), (1, 0), (0, 2)])
+    h = OrientedGraph(4, ((2, 3), (1, 0), (0, 2)))
     assert h.arcs == ((1, 0), (0, 2), (2, 3))
 
 
@@ -77,7 +82,7 @@ def test_sources_and_sinks():
 
 
 def test_components_and_reverse():
-    g = build_oriented(5, [(0, 1), (2, 3)])
+    g = OrientedGraph(5, ((0, 1), (2, 3)))
     comps = g.components()
     assert sorted(map(sorted, comps)) == [[0, 1], [2, 3], [4]]
     assert not g.is_weakly_connected()
@@ -98,7 +103,7 @@ def test_underlying_and_bipartition():
 
 def test_shortest_path_counts():
     # two parallel length-2 routes from 0 to 3
-    g = build_oriented(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    g = OrientedGraph(4, ((0, 1), (0, 2), (1, 3), (2, 3)))
     sigma = g.shortest_path_counts(0)
     assert sigma[3] == 2 and sigma[1] == sigma[2] == 1
 

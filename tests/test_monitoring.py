@@ -5,7 +5,6 @@ import pytest
 
 from magsets import (
     ForcedRule,
-    build_oriented,
     forced_vertices,
     is_extremal,
     is_mag_set,

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magsets import (
+    OrientedGraph,
     SolverConfig,
     Strategy,
-    build_oriented,
     greedy_mag_set,
     is_mag_set,
     min_mag_set,
@@ -32,9 +32,9 @@ from helpers import (
 
 
 def test_empty_and_trivial():
-    res = min_mag_set(build_oriented(3, []))
+    res = min_mag_set(OrientedGraph(3, ()))
     assert res.size == 0 and res.witness == ()
-    res = min_mag_set(build_oriented(2, [(0, 1)]))
+    res = min_mag_set(OrientedGraph(2, ((0, 1),)))
     assert res.size == 2 and set(res.witness) == {0, 1}
 
 
@@ -56,6 +56,26 @@ def test_strategies_agree():
         bnb = min_mag_set(g, SolverConfig(strategy=Strategy.BRANCH_AND_BOUND))
         assert sweep.size == bnb.size
         assert is_mag_set(g, bnb.witness)[0]
+
+
+@pytest.mark.parametrize("strategy, max_nodes", [
+    (Strategy.AUTO, 1),
+    (Strategy.CARDINALITY_SWEEP, 1),
+    (Strategy.BRANCH_AND_BOUND, 10_000_000),
+])
+def test_pair_rows_built_once_per_solve(monkeypatch, strategy, max_nodes):
+    # each case reads the lookup in the search and in the greedy: a search
+    # out of budget falls back on the greedy, branch-and-bound starts from it
+    from magsets import cover
+
+    calls = []
+    pair_rows = cover.pair_rows
+    monkeypatch.setattr(cover, "pair_rows", lambda *args: calls.append(args) or pair_rows(*args))
+    g = random_connected_oriented(random.Random(1), 10, p=0.4)
+    res = min_mag_set(g, SolverConfig(max_nodes=max_nodes, strategy=strategy))
+    assert res.optimal == (max_nodes > 1)
+    assert is_mag_set(g, res.witness)[0]
+    assert len(calls) == 1
 
 
 # (size, nodes, optimal, witness) under a 20,000-node budget for random
@@ -101,8 +121,8 @@ def _induced_components(g):
     for comp in g.components():
         verts = sorted(comp)
         local = {v: i for i, v in enumerate(verts)}
-        yield build_oriented(
-            len(verts), [(local[u], local[v]) for u, v in g.arcs if u in comp]
+        yield OrientedGraph(
+            len(verts), tuple((local[u], local[v]) for u, v in g.arcs if u in comp)
         )
 
 
@@ -166,7 +186,7 @@ def test_forced_subset_of_witness(bits, n):
     for idx, (i, j) in enumerate(slots):
         if bits >> idx & 1:
             arcs.append((i, j) if bits >> (idx + 15) & 1 else (j, i))
-    g = build_oriented(n, arcs)
+    g = OrientedGraph(n, tuple(arcs))
     res = min_mag_set(g)
     assert res.forced <= set(res.witness)
     assert is_mag_set(g, res.witness)[0] or g.m == 0

@@ -95,6 +95,13 @@ def test_early_exit_flags():
     assert sp.mag_minus == 2
     sp = spectrum(G, stop_at_n=True)
     assert sp.mag_plus == 6
+    # a stopped scan reports the full scan's witness of the extreme it stops at
+    G = UndirectedGraph(6, ((0, 1), (1, 2), (1, 3), (1, 5), (2, 4), (2, 5)))
+    sp = spectrum(G, stop_at_n=True)
+    assert (sp.mag_plus, sp.witness_max) == (6, spectrum(G).witness_max) == (6, 1)
+    G = UndirectedGraph(6, ((0, 1), (0, 2), (1, 4), (2, 3), (2, 4), (2, 5), (3, 5)))
+    sp = spectrum(G, stop_at_two=True)
+    assert (sp.mag_minus, sp.witness_min) == (2, spectrum(G).witness_min) == (2, 37)
 
 
 def test_threaded_scan_matches_serial():

@@ -163,6 +163,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
                 "gap": sp.gap,
                 "witness_min": sp.witness_min_bits(G.m),
                 "witness_max": sp.witness_max_bits(G.m),
+                "complete": sp.complete,
             },
         ),
         started,
@@ -343,18 +344,19 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     return 0
 
 
-# the options shared by the analysis commands; each command takes the ones it reads
+# the arguments shared by the analysis commands; each command takes the ones it reads
 _OPTIONS = {
+    "input": dict(nargs="?", default="-", help="input file or '-' for stdin"),
     "--budget": dict(type=int, default=10_000_000, help="search-node budget"),
     "--strategy": dict(choices=[s.value for s in Strategy], default="auto"),
     "--max-edges": dict(type=int, default=DEFAULT_EDGE_CAP, help="orientation-enumeration cap"),
     "--threads": dict(type=int, default=1, help="spectrum worker processes (1 = serial)"),
     "--seed": dict(type=int, default=0),
+    "--max-n": dict(type=int, default=7, help="size cap of the sweep"),
 }
 
 
 def _add_common(p: argparse.ArgumentParser, *options: str) -> None:
-    p.add_argument("input", nargs="?", default="-", help="edge-list file or '-' for stdin")
     for option in options:
         p.add_argument(option, **_OPTIONS[option])
 
@@ -368,25 +370,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mag", help="exact minimum MAG-set of an oriented graph")
-    _add_common(p, "--budget", "--strategy")
+    _add_common(p, "input", "--budget", "--strategy")
     p.set_defaults(func=cmd_mag)
 
     p = sub.add_parser("meg", help="exact minimum MEG-set of an undirected graph")
-    _add_common(p, "--budget")
+    _add_common(p, "input", "--budget")
     p.set_defaults(func=cmd_meg)
 
     p = sub.add_parser("spectrum", help="mag over all orientations of an undirected graph")
-    _add_common(p, "--budget", "--strategy", "--max-edges", "--threads")
+    _add_common(p, "input", "--budget", "--strategy", "--max-edges", "--threads")
     p.add_argument("--stop-at-two", action="store_true", help="early exit once mag 2 is found")
     p.add_argument("--stop-at-n", action="store_true", help="early exit once mag n is found")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("extremal", help="extremal test (directed) or orientability to mag=n (undirected)")
-    _add_common(p, "--max-edges")
+    _add_common(p, "input", "--max-edges")
     p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("forced", help="vertices provably in every MAG-set")
-    _add_common(p)
+    _add_common(p, "input")
     p.set_defaults(func=cmd_forced)
 
     p = sub.add_parser("family", help="emit a generated family member as an edge list")
@@ -414,15 +416,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("verify", help="cross-check a reduction or closed form against oracles")
-    p.add_argument("check", choices=["nae", "vc", "family", "thm32"])
-    _add_common(p, "--budget", "--strategy", "--max-edges", "--seed")
-    p.add_argument("--k", type=int, default=0, help="vertex-cover budget (vc)")
-    p.add_argument("--max-n", type=int, default=7, help="size cap for family/thm32 sweeps")
-    p.add_argument("--samples", type=int, default=100, help="random samples for thm32")
     p.set_defaults(func=cmd_verify)
+    checks = p.add_subparsers(dest="check", required=True)
+    c = checks.add_parser("nae", help="NAE-3SAT gadget against brute force")
+    _add_common(c, "input", "--max-edges")
+    c = checks.add_parser("vc", help="vertex-cover gadget against brute force")
+    _add_common(c, "input", "--budget", "--strategy")
+    c.add_argument("--k", type=int, default=0, help="vertex-cover budget")
+    c = checks.add_parser("family", help="closed forms of the generated families")
+    _add_common(c, "--budget", "--strategy", "--max-n")
+    c = checks.add_parser("thm32", help="extremal test against exact size on random digraphs")
+    _add_common(c, "--budget", "--strategy", "--max-n", "--seed")
+    c.add_argument("--samples", type=int, default=100, help="random samples")
 
     p = sub.add_parser("export-dot", help="re-emit any edge list as DOT")
-    _add_common(p)
+    _add_common(p, "input")
     p.set_defaults(func=cmd_export_dot)
 
     return parser

@@ -78,11 +78,10 @@ def mag_lower_bound(g: OrientedGraph, forced: Optional[frozenset[int]] = None) -
     return max(bound, len(forced))
 
 
-def _solve_connected(g: OrientedGraph, cfg: SolverConfig) -> MagResult:
-    """Build the matrix and the forced set once, then bound and search; the
-    greedy cover is built only if the search asks for it."""
+def _solve_connected(g: OrientedGraph, cfg: SolverConfig, forced: frozenset[int]) -> MagResult:
+    """Build the matrix once, then bound and search from the caller's forced
+    set; the greedy cover is built only if the search asks for it."""
     matrix = monitor_matrix(g)
-    forced = forced_vertices(g).vertices
     problem = CoverProblem(
         n=g.n,
         full_mask=(1 << g.m) - 1,
@@ -105,7 +104,7 @@ def min_mag_set(g: OrientedGraph, cfg: Optional[SolverConfig] = None) -> MagResu
         return MagResult(0, (), frozenset(), True, 0, _graph=g)
     comps = g.components()
     if len(comps) == 1:
-        return _solve_connected(g, cfg)
+        return _solve_connected(g, cfg, forced_vertices(g).vertices)
     # solve per component and merge through the vertex relabeling; pairs
     # across components monitor nothing, so the coverage of the merged
     # witness is that of the whole graph's matrix

@@ -6,6 +6,15 @@ Reversing every arc preserves mag (monitoring checks both directions), so
 the enumeration evaluates only the masks with the top bit clear.  Each is
 the smaller mask of its reversal pair, so the first one scanned to attain a
 value is the smallest of all 2^m masks that attain it: its witness.
+
+The output is only the set of values and the witnesses, so a mask is
+solved only when its value could be new.  Its lower bound is the number of
+sources and sinks, read off the mask, or its forced set; its upper bound is
+n - 1 unless the forced set is all of V, in which case mag = n exactly.  A
+mask whose bounds allow only values with an earlier witness is skipped.
+This is exact: the skipped mask's value is already in the spectrum with a
+smaller witness.  It holds per pool chunk too, since each chunk skips only
+on its own earlier masks and the merge keeps mask order.
 """
 from __future__ import annotations
 
@@ -21,20 +30,26 @@ from .errors import (
     TooManyEdgesError,
     WidthMismatchError,
 )
-from .monitoring import is_extremal
-from .solver import SolverConfig, _solve_connected, min_mag_set
+from .monitoring import forced_vertices, is_extremal
+from .solver import SolverConfig, _solve_connected, mag_lower_bound
 
 DEFAULT_EDGE_CAP = 20
 
 
 @dataclass(frozen=True)
 class SpectrumResult:
+    """The values of mag over all orientations, the extremes, and per
+    extreme its first attaining mask.  ``complete`` is False when a stop
+    flag ended the scan: then only the extreme it stopped at and that
+    extreme's witness are exact."""
+
     mag_minus: int
     mag_plus: int
     spectrum: frozenset[int]
     gap: int
     witness_min: int
     witness_max: int
+    complete: bool
 
     def witness_min_bits(self, m: int) -> str:
         """Bitstring in edge-index order, leftmost = edge 0."""
@@ -61,23 +76,63 @@ def _scan_masks(
     cfg: SolverConfig,
     stop_at_two: bool = False,
     stop_at_n: bool = False,
-) -> dict[int, int]:
-    """Evaluate the masks in [lo, hi), each the smaller of its reversal
-    pair; map mag value -> first attaining mask.  Stops early once mag 2
-    (``stop_at_two``) or mag n (``stop_at_n``) is attained."""
-    # G is connected, so each orientation is weakly connected and needs no
-    # split into components; without arcs (one vertex at most) the general
-    # solve gives mag 0, where the connected one would force the vertex
-    solve = _solve_connected if G.m else min_mag_set
+) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
+    """Scan the masks in [lo, hi), each the smaller of its reversal pair.
+
+    Returns the map mag value -> first attaining mask, and each mask whose
+    solve ran out of budget as (mask, lower, upper) bounds on its value.
+    A mask whose bounds allow only values already mapped is skipped, since
+    its value has an earlier witness.  The bounds are tried cheapest first:
+    the sources and sinks read off the mask, then the forced set (all of V
+    exactly when mag = n, so otherwise mag <= n - 1).  Stops early once mag
+    2 (``stop_at_two``) or mag n (``stop_at_n``) is attained; a stop fires
+    on a new value, which is never skipped.
+    """
+    n = G.n
+    if not G.m:
+        # at most one vertex: mag 0, where the connected solve would force it
+        return {0: 0}, []
+    # per vertex, its edges and those where it is the larger end: under
+    # ``mask``, (mask ^ high) & inc holds the edges entering the vertex
+    inc, high = [0] * n, [0] * n
+    for i, (u, v) in enumerate(G.edges):
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+        high[v] |= 1 << i
+    ends_of = list(zip(inc, high))
+    floor = max(2, n - 1) if G.m == n * (n - 1) // 2 else 2  # tournaments: n - 1
     best: dict[int, int] = {}
+    pending: list[tuple[int, int, int]] = []
+    top = n + 1  # every value in [top, n] has a witness
     for mask in range(lo, hi):
-        res = solve(orient(G, mask), cfg)
-        if not res.optimal:
-            raise BudgetExceededError("solver budget exhausted during spectrum scan")
-        best.setdefault(res.size, mask)
-        if (stop_at_two and 2 in best) or (stop_at_n and G.n in best):
-            break
-    return best
+        if top <= n:
+            ends = 0
+            for iv, hv in ends_of:
+                x = (mask ^ hv) & iv
+                if not x or x == iv:
+                    ends += 1
+            if max(floor, ends) >= top:
+                continue
+        g = orient(G, mask)
+        forced = forced_vertices(g).vertices
+        if len(forced) == n:
+            size = n
+        else:
+            lower = mag_lower_bound(g, forced)
+            if all(v in best for v in range(lower, n)):
+                continue
+            res = _solve_connected(g, cfg, forced)
+            if not res.optimal:
+                pending.append((mask, lower, min(res.size, n - 1)))
+                continue
+            size = res.size
+        if size not in best:
+            best[size] = mask
+            while top - 1 in best:
+                top -= 1
+            if (stop_at_two and size == 2) or (stop_at_n and size == n):
+                break
+    return best, pending
 
 
 def spectrum(
@@ -92,8 +147,12 @@ def spectrum(
 
     ``stop_at_two`` / ``stop_at_n`` allow early exit once the trivial
     extreme for mag-minus / mag-plus has been reached (off by default so
-    the full spectrum is the canonical output).  They need the serial scan:
-    combined with ``threads > 1`` they raise :class:`BadParamError`.
+    the full spectrum is the canonical output); the result then has
+    ``complete`` false.  They need the serial scan: combined with
+    ``threads > 1`` they raise :class:`BadParamError`.  An orientation
+    whose solve runs out of budget raises :class:`BudgetExceededError`
+    only when its value could be one without an earlier witness, so the
+    outcome is the same for any worker count.
     """
     if not G.is_connected():
         raise DisconnectedInputError("spectrum requires a connected graph")
@@ -114,11 +173,16 @@ def spectrum(
         with ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(partial(_scan_masks, G, cfg=cfg), los, his))
         best: dict[int, int] = {}
-        for part in parts:  # in mask order
+        pending: list[tuple[int, int, int]] = []
+        for part, part_pending in parts:  # in mask order
             for val, mask in part.items():
                 best.setdefault(val, mask)
+            pending.extend(part_pending)
     else:
-        best = _scan_masks(G, 0, total, cfg, stop_at_two, stop_at_n)
+        best, pending = _scan_masks(G, 0, total, cfg, stop_at_two, stop_at_n)
+    for mask, lower, upper in pending:
+        if any(best.get(v, total) > mask for v in range(lower, upper + 1)):
+            raise BudgetExceededError("solver budget exhausted during spectrum scan")
     values = frozenset(best)
     mag_minus, mag_plus = min(values), max(values)
     return SpectrumResult(
@@ -128,6 +192,7 @@ def spectrum(
         gap=mag_plus - mag_minus,
         witness_min=best[mag_minus],
         witness_max=best[mag_plus],
+        complete=not ((stop_at_two and 2 in best) or (stop_at_n and G.n in best)),
     )
 
 

@@ -6,7 +6,16 @@ from collections import deque
 from itertools import combinations
 from typing import Sequence
 
-from magsets import UNREACHABLE, OrientedGraph, UndirectedGraph, is_mag_set, monitor_matrix
+from magsets import (
+    UNREACHABLE,
+    OrientedGraph,
+    SpectrumResult,
+    UndirectedGraph,
+    is_mag_set,
+    min_mag_set,
+    monitor_matrix,
+    orient,
+)
 from magsets.cover import CoverProblem, CoverSolution, _bit_counts, coverage_of, pair_rows
 
 
@@ -50,6 +59,16 @@ def brute_min_mag(g: OrientedGraph) -> tuple[int, tuple[int, ...]]:
             if is_mag_set(g, combo, mat)[0]:
                 return k, combo
     raise AssertionError("full vertex set must always monitor")
+
+
+def brute_spectrum(G: UndirectedGraph) -> SpectrumResult:
+    """The spectrum from a solve of every one of the 2^m orientations, each
+    value with its least attaining mask."""
+    first: dict[int, int] = {}
+    for mask in range(1 << G.m):
+        first.setdefault(min_mag_set(orient(G, mask)).size, mask)
+    lo, hi = min(first), max(first)
+    return SpectrumResult(lo, hi, frozenset(first), hi - lo, first[lo], first[hi], complete=True)
 
 
 def all_oriented_graphs(n: int):

@@ -195,7 +195,10 @@ def test_c05_extremal_characterization():
     rng = random.Random(0)
     for _ in range(500):
         g = random_connected_oriented(rng, rng.randint(2, 7))
-        assert is_extremal(g)[0] == (min_mag_set(g).size == g.n), g.arcs
+        full = min_mag_set(g).size == g.n
+        assert is_extremal(g)[0] == full, g.arcs
+        # the spectrum scan's n - 1 ceiling rests on this
+        assert (len(forced_vertices(g).vertices) == g.n) == full, g.arcs
     assert checked > 40000
     _report("criterion 5: extremal characterization", started, 300)
 

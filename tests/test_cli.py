@@ -63,6 +63,14 @@ def test_spectrum_command(capsys, monkeypatch):
     assert report["result"]["spectrum"] == [2, 3, 4, 6]
     assert report["result"]["gap"] == 4
     assert len(report["result"]["witness_min"]) == 6
+    assert report["result"]["complete"] is True
+    # a stopped scan is marked: its mag-minus 5 is not the full scan's 4
+    text = "undirected 6 6\n0 1\n1 2\n1 3\n1 5\n2 4\n2 5\n"
+    rc, report, _ = run_json(capsys, monkeypatch, ["spectrum", "-", "--stop-at-n"], text)
+    assert rc == 0
+    assert (report["result"]["mag_minus"], report["result"]["complete"]) == (5, False)
+    rc, report, _ = run_json(capsys, monkeypatch, ["spectrum", "-"], text)
+    assert (report["result"]["mag_minus"], report["result"]["complete"]) == (4, True)
 
 
 def test_extremal_both_input_kinds(capsys, monkeypatch):
@@ -189,17 +197,23 @@ def test_negative_vertex_count_exit_code(capsys, monkeypatch, command, kind):
     assert "vertex count must be non-negative" in err
 
 
-# the shared options each analysis command reads, and one value for each
+# the shared arguments each analysis command reads, and one value for each
 READS = {
-    "mag": {"--budget", "--strategy"},
-    "meg": {"--budget"},
-    "spectrum": {"--budget", "--strategy", "--max-edges", "--threads"},
-    "extremal": {"--max-edges"},
-    "forced": set(),
-    "verify": {"--budget", "--strategy", "--max-edges", "--seed"},
-    "export-dot": set(),
+    "mag": {"input", "--budget", "--strategy"},
+    "meg": {"input", "--budget"},
+    "spectrum": {"input", "--budget", "--strategy", "--max-edges", "--threads"},
+    "extremal": {"input", "--max-edges"},
+    "forced": {"input"},
+    "verify nae": {"input", "--max-edges"},
+    "verify vc": {"input", "--budget", "--strategy"},
+    "verify family": {"--budget", "--strategy", "--max-n"},
+    "verify thm32": {"--budget", "--strategy", "--max-n", "--seed"},
+    "export-dot": {"input"},
 }
-VALUES = {"--budget": "5", "--strategy": "bnb", "--max-edges": "9", "--threads": "2", "--seed": "3"}
+VALUES = {
+    "--budget": "5", "--strategy": "bnb", "--max-edges": "9", "--threads": "2", "--seed": "3",
+    "--max-n": "4",
+}
 # the argv shapes of the benchmark's ops
 BENCHMARK_ARGV = {
     "mag": ["mag", "op.txt", "--budget", "20000"],
@@ -211,7 +225,14 @@ BENCHMARK_ARGV = {
 @pytest.mark.parametrize("command", sorted(READS))
 def test_each_command_takes_only_the_flags_it_reads(command):
     parser = build_parser()
-    head = ["verify", "family", "-"] if command == "verify" else [command, "-"]
+    head = command.split()
+    if "input" in READS[command]:
+        assert parser.parse_args(head + ["g.txt"]).input == "g.txt"
+        head.append("-")
+    else:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(head + ["-"])
+        assert exc.value.code == 2
     for flag, value in VALUES.items():
         if flag in READS[command]:
             args = parser.parse_args(head + [flag, value])

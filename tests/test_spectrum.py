@@ -1,14 +1,21 @@
+import importlib
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from magsets import (
+    BudgetExceededError,
     DisconnectedInputError,
     OrientedGraph,
     SolverConfig,
     TooManyEdgesError,
     UndirectedGraph,
     WidthMismatchError,
+    forced_vertices,
+    mag_lower_bound,
     mag_plus_at_least_n,
     min_mag_set,
     orient,
@@ -16,7 +23,10 @@ from magsets import (
 )
 from magsets.families import construction_gj
 
-from helpers import random_connected_undirected, random_tree
+from helpers import brute_spectrum, random_connected_undirected, random_tree
+
+# the module; ``magsets.spectrum`` is the function
+scan = importlib.import_module("magsets.spectrum")
 
 
 def undirected_cycle(n):
@@ -102,6 +112,12 @@ def test_early_exit_flags():
     G = UndirectedGraph(6, ((0, 1), (0, 2), (1, 4), (2, 3), (2, 4), (2, 5), (3, 5)))
     sp = spectrum(G, stop_at_two=True)
     assert (sp.mag_minus, sp.witness_min) == (2, spectrum(G).witness_min) == (2, 37)
+    # a stopped scan says so; the full one gives the mag-minus it did not reach
+    G = UndirectedGraph(6, ((0, 1), (1, 2), (1, 3), (1, 5), (2, 4), (2, 5)))
+    sp = spectrum(G, stop_at_n=True)
+    assert (sp.mag_plus, sp.mag_minus, sp.complete) == (6, 5, False)
+    sp = spectrum(G)
+    assert (sp.spectrum, sp.complete) == (frozenset({4, 5, 6}), True)
 
 
 def test_threaded_scan_matches_serial():
@@ -126,3 +142,154 @@ def test_construction_gap():
         G = construction_gj(j)
         sp = spectrum(G)
         assert sp.mag_minus == j + 3
+
+
+def complete_graph(n):
+    return UndirectedGraph(n, tuple(combinations(range(n), 2)))
+
+
+@st.composite
+def connected_graphs(draw, max_n=7, max_m=9):
+    """A connected graph: a random spanning tree plus distinct extra edges."""
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    rest = [e for e in combinations(range(n), 2) if e not in edges]
+    if rest:
+        edges.update(draw(st.lists(st.sampled_from(rest), unique=True, max_size=max_m - len(edges))))
+    return UndirectedGraph(n, tuple(sorted(edges)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs())
+@example(complete_graph(2))
+@example(complete_graph(3))
+@example(complete_graph(4))
+@example(complete_graph(5))
+@example(UndirectedGraph(6, tuple((0, v) for v in range(1, 6))))
+@example(undirected_cycle(8))
+def test_spectrum_equals_brute_scan(G):
+    want = brute_spectrum(G)
+    assert spectrum(G) == want
+    # a stop fires on a new value, so the extreme it stops at and that
+    # extreme's witness are the full scan's
+    two = spectrum(G, stop_at_two=True)
+    if 2 in want.spectrum:
+        assert (two.mag_minus, two.witness_min, two.complete) == (2, want.witness_min, False)
+    else:
+        assert two == want
+    top = spectrum(G, stop_at_n=True)
+    if G.n in want.spectrum:
+        assert (top.mag_plus, top.witness_max, top.complete) == (G.n, want.witness_max, False)
+    else:
+        assert top == want
+
+
+@pytest.mark.parametrize("G", [
+    undirected_cycle(5),
+    undirected_cycle(6),
+    complete_graph(4),
+    UndirectedGraph(5, tuple((0, v) for v in range(1, 5))),
+    UndirectedGraph(6, ((0, 1), (1, 2), (1, 3), (1, 5), (2, 4), (2, 5))),
+], ids=["C5", "C6", "K4", "star", "n6"])
+def test_scan_works_only_on_masks_that_could_add_a_value(G, monkeypatch):
+    # With every value of the earlier masks known, a mask is oriented only
+    # when its sources and sinks (or n - 1 on a complete graph) leave room
+    # below the least t with [t, n] all seen, and solved only when its
+    # forced set is not all of V and [its lower bound, n - 1] is not all
+    # seen.
+    total = 1 << (G.m - 1)
+    floor = G.n - 1 if G.m == G.n * (G.n - 1) // 2 else 2
+    want_oriented, want_solved, seen = [], [], set()
+    for mask in range(total):
+        g = orient(G, mask)
+        top = G.n + 1
+        while top - 1 in seen:
+            top -= 1
+        sources, sinks = g.sources_and_sinks()
+        if max(floor, len(sources | sinks)) < top:
+            want_oriented.append(mask)
+            forced = forced_vertices(g).vertices
+            if len(forced) < G.n and not set(range(mag_lower_bound(g, forced), G.n)) <= seen:
+                want_solved.append(mask)
+        seen.add(min_mag_set(g).size)
+    oriented, solved = [], []
+
+    def record_orient(G, mask):
+        oriented.append(mask)
+        return orient(G, mask)
+
+    def record_solve(g, cfg, forced):
+        solved.append(oriented[-1])
+        return solve(g, cfg, forced)
+
+    solve = scan._solve_connected
+    monkeypatch.setattr(scan, "orient", record_orient)
+    monkeypatch.setattr(scan, "_solve_connected", record_solve)
+    spectrum(G)
+    assert (oriented, solved) == (want_oriented, want_solved)
+    assert len(solved) < total
+
+
+def budget_outcomes(G, budget):
+    """The spectrum at ``budget`` with 1 and with 2 workers; None where it
+    raised."""
+    outcomes = []
+    for threads in (1, 2):
+        try:
+            outcomes.append(spectrum(G, SolverConfig(max_nodes=budget), threads=threads))
+        except BudgetExceededError:
+            outcomes.append(None)
+    return outcomes
+
+
+N7 = UndirectedGraph(7, ((0, 1), (0, 6), (1, 2), (1, 6), (2, 3), (3, 4), (4, 5), (5, 6)))
+
+
+def test_budget_outcome_same_for_any_worker_count():
+    # a pool chunk starts with nothing seen, so it solves masks the serial
+    # scan skips; one of them out of budget must not change the outcome
+    want = brute_spectrum(N7)
+    for budget in (22, 23, 24, 40):
+        serial, pooled = budget_outcomes(N7, budget)
+        assert serial == pooled and serial in (None, want), budget
+
+
+class InProcessPool:
+    """Stands in for the process pool: the same chunks, run in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_chunked_budget_outcome_matches_serial(monkeypatch):
+    # the chunk merge of the pool path, over many budgets and graphs; an
+    # out-of-budget mask a chunk leaves open must be judged after the merge
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    rng = random.Random(3)
+    graphs = [N7] + [random_connected_undirected(rng, 6, extra=rng.randint(1, 3)) for _ in range(6)]
+    for G in graphs:
+        want = brute_spectrum(G)
+        for budget in (1, 3, 8, 15, 21, 22, 23, 30, 60):
+            serial, chunked = budget_outcomes(G, budget)
+            assert serial == chunked and serial in (None, want), (G.edges, budget)
+
+
+def test_budget_stop_before_a_first_witness_raises():
+    # at 3 nodes mask 4 is left with mag in [2, 3]; the scan first proves
+    # mag 2 at mask 38, later than mask 4, whose mag is in fact 2 (the brute
+    # witness): a witness_min of 38 would be wrong, so the scan must raise
+    G = UndirectedGraph(6, ((0, 1), (0, 3), (0, 5), (1, 2), (2, 4), (3, 4), (4, 5)))
+    assert brute_spectrum(G).witness_min == 4
+    with pytest.raises(BudgetExceededError):
+        spectrum(G, SolverConfig(max_nodes=3))

@@ -165,6 +165,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
                 "witness_max": sp.witness_max_bits(G.m),
                 "complete": sp.complete,
             },
+            sp.counts,
         ),
         started,
     )
@@ -344,13 +345,26 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_at_least(least: int):
+    """An argparse type: an int no smaller than ``least``, else exit 2."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its message for a non-int
+    return parse
+
+
 # the arguments shared by the analysis commands; each command takes the ones it reads
 _OPTIONS = {
     "input": dict(nargs="?", default="-", help="input file or '-' for stdin"),
     "--budget": dict(type=int, default=10_000_000, help="search-node budget"),
     "--strategy": dict(choices=[s.value for s in Strategy], default="auto"),
-    "--max-edges": dict(type=int, default=DEFAULT_EDGE_CAP, help="orientation-enumeration cap"),
-    "--threads": dict(type=int, default=1, help="spectrum worker processes (1 = serial)"),
+    "--max-edges": dict(type=_int_at_least(0), default=DEFAULT_EDGE_CAP, help="orientation-enumeration cap"),
+    "--threads": dict(type=_int_at_least(1), default=1, help="spectrum worker processes (1 = serial)"),
     "--seed": dict(type=int, default=0),
     "--max-n": dict(type=int, default=7, help="size cap of the sweep"),
 }

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import BadParamError
 
@@ -67,10 +67,14 @@ class CoverProblem:
 
 @dataclass
 class CoverSolution:
+    """A cover of ``size`` vertices; ``lower`` is a proven lower bound on
+    the optimum, equal to ``size`` when ``optimal``."""
+
     size: int
     witness: tuple[int, ...]
     optimal: bool
     nodes: int
+    lower: int
 
 
 class _Budget:
@@ -109,15 +113,21 @@ def coverage_of(problem: CoverProblem, vertices: tuple[int, ...] | list[int]) ->
     return cov
 
 
-def solve_cover_sweep(problem: CoverProblem, max_nodes: int = 10_000_000) -> CoverSolution:
-    """Smallest superset of the forced set covering everything."""
+def solve_cover_sweep(
+    problem: CoverProblem, max_nodes: int = 10_000_000, stop: Optional[int] = None
+) -> CoverSolution:
+    """Smallest superset of the forced set covering everything, tried level
+    by level from the lower bound.  With ``stop`` the sweep gives up before
+    that level: the solution is then all n vertices, not optimal, with
+    ``lower`` = ``stop``.  When the budget runs out, ``lower`` is the level
+    it reached, since every smaller level has been searched in full."""
     budget = _Budget(max_nodes)
     full = problem.full_mask
     forced = tuple(sorted(problem.forced))
     free = [v for v in range(problem.n) if v not in problem.forced]
     base = coverage_of(problem, forced)
     if base == full and len(forced) >= problem.lower_bound:
-        return CoverSolution(len(forced), forced, True, 0)
+        return CoverSolution(len(forced), forced, True, 0, len(forced))
     rows = problem.rows
     with_forced = {v: 0 for v in free}
     for v in free:
@@ -163,20 +173,21 @@ def solve_cover_sweep(problem: CoverProblem, max_nodes: int = 10_000_000) -> Cov
             chosen.pop()
         return False
 
-    start_k = max(problem.lower_bound, len(forced))
+    k = start_k = max(problem.lower_bound, len(forced))
+    fallback = tuple(range(problem.n))
     try:
-        for k in range(start_k, problem.n + 1):
+        for k in range(start_k, problem.n + 1 if stop is None else stop):
             if rec(0, [], base, k - len(forced)):
                 assert found is not None
                 witness = tuple(sorted(forced + tuple(found)))
-                return CoverSolution(k, witness, True, nodes)
+                return CoverSolution(k, witness, True, nodes, k)
     except _BudgetStop:
-        fallback = tuple(range(problem.n))
-        return CoverSolution(problem.n, fallback, False, nodes)
+        return CoverSolution(problem.n, fallback, False, nodes, k)
     finally:
         del rec  # rec refers to itself: unbind it so the search state is freed now
-    # full vertex set always covers (callers only pose feasible problems)
-    raise AssertionError("sweep exhausted without finding a cover")
+    if stop is None:  # full vertex set always covers (callers only pose feasible problems)
+        raise AssertionError("sweep exhausted without finding a cover")
+    return CoverSolution(problem.n, fallback, False, nodes, stop)
 
 
 class _BudgetStop(Exception):
@@ -217,7 +228,7 @@ def solve_cover_branch_bound(
     best = sorted(upper_witness) if upper_witness is not None else list(range(n))
     root_cov = coverage_of(problem, forced)
     if root_cov == full and len(forced) < len(best):
-        return CoverSolution(len(forced), forced, True, 1)  # the root is a cover
+        return CoverSolution(len(forced), forced, True, 1, len(forced))  # the root is a cover
 
     rows = problem.rows
     # the most-constrained uncovered target is the first uncovered one in
@@ -293,10 +304,11 @@ def solve_cover_branch_bound(
     try:
         rec(set(forced), root_cov)
     except _BudgetStop:
-        return CoverSolution(len(best), tuple(best), False, nodes)
+        lower = max(problem.lower_bound, len(forced))
+        return CoverSolution(len(best), tuple(best), False, nodes, lower)
     finally:
         del rec  # rec refers to itself: unbind it so the search state is freed now
-    return CoverSolution(len(best), tuple(best), True, nodes)
+    return CoverSolution(len(best), tuple(best), True, nodes, len(best))
 
 
 def greedy_cover(problem: CoverProblem) -> tuple[int, ...]:
@@ -327,30 +339,36 @@ def greedy_cover(problem: CoverProblem) -> tuple[int, ...]:
     return tuple(chosen)
 
 
+def sweeps(n: int, forced: int, strategy: Strategy) -> bool:
+    """Whether :func:`solve_cover` sweeps a problem on n vertices with
+    ``forced`` forced: ``AUTO`` does when at most 24 vertices are free."""
+    if strategy is Strategy.AUTO:
+        return n - forced <= 24
+    return strategy is Strategy.CARDINALITY_SWEEP
+
+
 def solve_cover(
     problem: CoverProblem,
     max_nodes: int = 10_000_000,
     strategy: Strategy = Strategy.AUTO,
     greedy_incumbent: bool = True,
+    stop: Optional[int] = None,
 ) -> CoverSolution:
-    """Solve with the chosen strategy; ``AUTO`` sweeps when at most 24
-    vertices are free.  The :func:`greedy_cover` is built only when a
-    search needs it: as the branch-and-bound incumbent (with
-    ``greedy_incumbent`` false the search starts from all n vertices
-    instead), or when the budget runs out before an optimum is proven,
-    when it is returned in place of a larger best-so-far."""
-    if strategy is Strategy.AUTO:
-        sweep = problem.n - len(problem.forced) <= 24
-    else:
-        sweep = strategy is Strategy.CARDINALITY_SWEEP
+    """Solve with the chosen strategy (see :func:`sweeps`); a sweep gives
+    up before level ``stop``, branch-and-bound ignores it.  The
+    :func:`greedy_cover` is built only when a search needs it: as the
+    branch-and-bound incumbent (with ``greedy_incumbent`` false the search
+    starts from all n vertices instead), or when the budget runs out before
+    an optimum is proven, when it is returned in place of a larger
+    best-so-far."""
     greedy = None
-    if sweep:
-        solution = solve_cover_sweep(problem, max_nodes)
+    if sweeps(problem.n, len(problem.forced), strategy):
+        solution = solve_cover_sweep(problem, max_nodes, stop)
     else:
         greedy = greedy_cover(problem) if greedy_incumbent else None
         solution = solve_cover_branch_bound(problem, max_nodes, greedy)
-    if not solution.optimal:
+    if not solution.optimal and (stop is None or solution.lower < stop):
         greedy = greedy or greedy_cover(problem)
         if len(greedy) < solution.size:
-            solution = CoverSolution(len(greedy), greedy, False, solution.nodes)
+            solution = CoverSolution(len(greedy), greedy, False, solution.nodes, solution.lower)
     return solution

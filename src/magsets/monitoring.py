@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .cover import pair_rank
 from .digraph import UNREACHABLE, OrientedGraph, UndirectedGraph
@@ -29,6 +29,10 @@ from .errors import DisconnectedInputError, EqualVerticesError, OutOfRangeError
 # Per vertex, its (neighbor, link bit) pairs: the out-arcs of an oriented
 # graph, or the edges of an undirected graph, seen from both ends.
 LinkAdjacency = Sequence[Sequence[tuple[int, int]]]
+# Per vertex, its in- or out-neighbours as a bitmask, or as a list in
+# increasing order: the neighbourhoods the forcing rules read.
+Masks = Sequence[int]
+Lists = Sequence[Sequence[int]]
 
 
 def pair_key(x: int, y: int) -> tuple[int, int]:
@@ -63,18 +67,11 @@ def _sole_route_row(adj: LinkAdjacency, x: int) -> list[int]:
     return need
 
 
-def _pair_masks(adj: LinkAdjacency) -> list[int]:
-    """N_x(y) | N_y(x) for every pair x < y, in pair-rank order."""
-    n = len(adj)
-    rows = [_sole_route_row(adj, x) for x in range(n)]
+def _pair_masks(rows: Sequence[Sequence[int]]) -> list[int]:
+    """N_x(y) | N_y(x) for every pair x < y, in pair-rank order, from the
+    rows N_x of every source x."""
+    n = len(rows)
     return [rows[x][y] | rows[y][x] for x in range(n) for y in range(x + 1, n)]
-
-
-def _arc_adjacency(g: OrientedGraph) -> list[list[tuple[int, int]]]:
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for a, (u, v) in enumerate(g.arcs):
-        adj[u].append((v, 1 << a))
-    return adj
 
 
 def _edge_adjacency(G: UndirectedGraph) -> list[list[tuple[int, int]]]:
@@ -98,7 +95,7 @@ def _check_query(n: int, x: int, y: int, link: int, links: int, what: str) -> No
 def monitors_directed(g: OrientedGraph, x: int, y: int, a: int) -> bool:
     """True iff arc ``a`` lies on every shortest directed x->y path."""
     _check_query(g.n, x, y, a, g.m, "arc")
-    return bool(_sole_route_row(_arc_adjacency(g), x)[y] >> a & 1)
+    return bool(_sole_route_row(g.out_links, x)[y] >> a & 1)
 
 
 def monitors_directed_by_counting(g: OrientedGraph, x: int, y: int, a: int) -> bool:
@@ -147,9 +144,25 @@ class MonitorMatrix:
         return self.pair_arcs[self.pair_index(x, y)]
 
 
-def monitor_matrix(g: OrientedGraph) -> MonitorMatrix:
-    """Build the complete monitoring matrix: one kernel BFS per source."""
-    return MonitorMatrix(g.n, g.m, tuple(_pair_masks(_arc_adjacency(g))))
+# per source x, its kernel row N_x, or None where it is not built yet
+Rows = list[Optional[list[int]]]
+
+
+def _route_rows(g: OrientedGraph, sources: Iterable[int], rows: Rows) -> Rows:
+    """Build into ``rows`` the kernel row N_x of each source x it lacks, one
+    BFS each, and return it."""
+    adj = g.out_links
+    for x in sources:
+        if rows[x] is None:
+            rows[x] = _sole_route_row(adj, x)
+    return rows
+
+
+def monitor_matrix(g: OrientedGraph, rows: Optional[Rows] = None) -> MonitorMatrix:
+    """Build the complete monitoring matrix: one kernel BFS per source.  The
+    rows already in ``rows`` are reused, and the others are built into it."""
+    rows = _route_rows(g, range(g.n), [None] * g.n if rows is None else rows)
+    return MonitorMatrix(g.n, g.m, tuple(_pair_masks(rows)))
 
 
 def is_mag_set(
@@ -184,6 +197,10 @@ class ForcedRule(Enum):
     COND_III = "cond_iii"
 
 
+_SOURCE = (ForcedRule.SOURCE, None)
+_SINK = (ForcedRule.SINK, None)
+
+
 @dataclass(frozen=True)
 class ForcedReport:
     """Vertices provably in every MAG-set, each with its rule and witness.
@@ -213,7 +230,7 @@ def _neighbourhoods(
 
 
 def _bypass_reason(
-    ins: list[int], outs: list[int], in_list: list[list[int]], out_list: list[list[int]], v: int
+    ins: Masks, outs: Masks, in_list: Lists, out_list: Lists, v: int
 ) -> Optional[tuple[ForcedRule, int]]:
     """COND_II with the first in-neighbour u of v that reaches every
     out-neighbour of v in at most two steps without passing through v; else
@@ -238,27 +255,37 @@ def _bypass_reason(
     return None
 
 
-def forced_vertices(g: OrientedGraph) -> ForcedReport:
-    """Union of the forcing rules: sources/sinks, twins, and the two
-    extremal-characterization conditions for internal vertices."""
-    ins, outs, in_list, out_list = _neighbourhoods(g)
+def _forced_reasons(
+    ins: Masks, outs: Masks, in_list: Lists, out_list: Lists
+) -> dict[int, tuple[ForcedRule, Optional[int]]]:
+    """The forcing rules over per-vertex neighbourhoods (as built by
+    :func:`_neighbourhoods`): per forced vertex, its rule and witness."""
+    keys = list(zip(ins, outs))
     twins: dict[tuple[int, int], list[int]] = {}
-    for v in range(g.n):
-        twins.setdefault((ins[v], outs[v]), []).append(v)
+    if len(set(keys)) < len(keys):  # some vertices share both neighbourhoods
+        for v, key in enumerate(keys):
+            twins.setdefault(key, []).append(v)
     reasons: dict[int, tuple[ForcedRule, Optional[int]]] = {}
-    for v in range(g.n):
-        if not ins[v]:
-            reasons[v] = (ForcedRule.SOURCE, None)
-        elif not outs[v]:
-            reasons[v] = (ForcedRule.SINK, None)
+    for v, key in enumerate(keys):
+        if not key[0]:
+            reasons[v] = _SOURCE
+        elif not key[1]:
+            reasons[v] = _SINK
         else:
-            group = twins[(ins[v], outs[v])]
+            group = twins.get(key, ())
             if len(group) > 1:
                 reasons[v] = (ForcedRule.TWIN, group[1] if group[0] == v else group[0])
             else:
                 reason = _bypass_reason(ins, outs, in_list, out_list, v)
                 if reason is not None:
                     reasons[v] = reason
+    return reasons
+
+
+def forced_vertices(g: OrientedGraph) -> ForcedReport:
+    """Union of the forcing rules: sources/sinks, twins, and the two
+    extremal-characterization conditions for internal vertices."""
+    reasons = _forced_reasons(*_neighbourhoods(g))
     return ForcedReport(frozenset(reasons), reasons)
 
 
@@ -270,11 +297,17 @@ def is_extremal(g: OrientedGraph) -> tuple[bool, Optional[int]]:
     """
     if not g.is_weakly_connected():
         raise DisconnectedInputError("extremal test requires a weakly connected graph")
-    ins, outs, in_list, out_list = _neighbourhoods(g)
-    for v in range(g.n):
+    v = _first_unbypassed(*_neighbourhoods(g))
+    return v is None, v
+
+
+def _first_unbypassed(ins: Masks, outs: Masks, in_list: Lists, out_list: Lists) -> Optional[int]:
+    """The least vertex that is neither a source, a sink, nor bypassed, over
+    per-vertex neighbourhoods; None when the graph is extremal."""
+    for v in range(len(ins)):
         if ins[v] and outs[v] and _bypass_reason(ins, outs, in_list, out_list, v) is None:
-            return False, v
-    return True, None
+            return v
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +334,8 @@ def edge_monitors_undirected(G: UndirectedGraph, x: int, y: int, e: int) -> bool
 def undirected_monitor_pair_masks(G: UndirectedGraph) -> list[int]:
     """Per unordered pair, in pair-rank order, the bitmask of edges it
     monitors."""
-    return _pair_masks(_edge_adjacency(G))
+    adj = _edge_adjacency(G)
+    return _pair_masks([_sole_route_row(adj, x) for x in range(G.n)])
 
 
 def min_meg_set(G: UndirectedGraph, max_nodes: int = 10_000_000) -> MegResult:

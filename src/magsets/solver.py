@@ -10,9 +10,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .cover import CoverProblem, Strategy, greedy_cover, pair_rank, solve_cover
+from .cover import CoverProblem, Strategy, greedy_cover, solve_cover, sweeps
 from .digraph import OrientedGraph
-from .monitoring import MonitorMatrix, forced_vertices, monitor_matrix
+from .errors import BadParamError
+from .monitoring import Rows, _route_rows, forced_vertices, monitor_matrix
 
 
 @dataclass(frozen=True)
@@ -20,33 +21,42 @@ class SolverConfig:
     max_nodes: int = 10_000_000
     strategy: Strategy = Strategy.AUTO
 
+    def __post_init__(self) -> None:
+        if self.max_nodes <= 0:
+            raise BadParamError("node budget must be positive")
+
 
 @dataclass(frozen=True)
 class MagResult:
     """Certified optimum: size, one witness, the forced seed, and (in
-    ``coverage``) per arc one monitoring pair drawn from the witness."""
+    ``coverage``) per arc one monitoring pair drawn from the witness.
+    ``lower`` is a proven lower bound on mag, equal to ``size`` when
+    ``optimal``."""
 
     size: int
     witness: tuple[int, ...]
     forced: frozenset[int]
     optimal: bool
     nodes: int
+    lower: int
     # keyword-only, so a call with the positional fields of the eager
     # certificate (``coverage`` before ``optimal``) fails loudly
     _graph: OrientedGraph = field(repr=False, kw_only=True)
-    _matrix: Optional[MonitorMatrix] = field(default=None, repr=False, compare=False, kw_only=True)
+    # the kernel rows N_x the solve built, by source x (None where not built)
+    _rows: Optional[Rows] = field(default=None, repr=False, compare=False, kw_only=True)
 
     @cached_property
     def coverage(self) -> dict[int, tuple[int, int]]:
         """Per arc, the lexicographically first witness pair monitoring it;
-        built on first access from the matrix of the solve."""
-        matrix = self._matrix if self._matrix is not None else monitor_matrix(self._graph)
+        built on first access from the witness vertices' kernel rows."""
+        g = self._graph
+        rows = _route_rows(g, self.witness, [None] * g.n if self._rows is None else self._rows)
         cert: dict[int, tuple[int, int]] = {}
-        left = (1 << matrix.m) - 1
+        left = (1 << g.m) - 1
         members = sorted(self.witness)
         for i, x in enumerate(members):
             for y in members[i + 1 :]:
-                new = matrix.pair_arcs[pair_rank(matrix.n, x, y)] & left
+                new = (rows[x][y] | rows[y][x]) & left
                 left ^= new
                 while new:
                     low = new & -new
@@ -78,21 +88,39 @@ def mag_lower_bound(g: OrientedGraph, forced: Optional[frozenset[int]] = None) -
     return max(bound, len(forced))
 
 
-def _solve_connected(g: OrientedGraph, cfg: SolverConfig, forced: frozenset[int]) -> MagResult:
-    """Build the matrix once, then bound and search from the caller's forced
-    set; the greedy cover is built only if the search asks for it."""
-    matrix = monitor_matrix(g)
-    problem = CoverProblem(
-        n=g.n,
-        full_mask=(1 << g.m) - 1,
-        pair_masks=matrix.pair_arcs,
-        forced=forced,
-        lower_bound=mag_lower_bound(g, forced),
-    )
-    solution = solve_cover(problem, max_nodes=cfg.max_nodes, strategy=cfg.strategy)
+def _solve_connected(
+    g: OrientedGraph, cfg: SolverConfig, forced: frozenset[int], stop: Optional[int] = None
+) -> MagResult:
+    """Bound and search from the caller's forced set F, which is in every
+    MAG-set, with ``stop`` as in :func:`solve_cover`.  The search's first
+    level is F alone, which needs only F's own kernel rows, so those are
+    built first: when the pairs inside F cover every arc, F is the optimum,
+    and when a sweep would give up right after F, nothing more is needed.
+    Otherwise the matrix is completed from them and searched; the greedy
+    cover is built only if the search asks for it."""
+    full = (1 << g.m) - 1
+    lower = mag_lower_bound(g, forced)
+    rows = _route_rows(g, forced, [None] * g.n)
+    k = len(forced)
+    if k >= lower:
+        covered = 0
+        for x in forced:
+            row_x = rows[x]
+            for y in forced:
+                covered |= row_x[y]
+        sweep = sweeps(g.n, k, cfg.strategy)
+        if covered == full:
+            # the searches' own count for a root that covers
+            witness = tuple(sorted(forced))
+            return MagResult(k, witness, forced, True, 0 if sweep else 1, k, _graph=g, _rows=rows)
+        if sweep and stop == k + 1:
+            # the sweep's result when it gives up after one node, F itself
+            return MagResult(g.n, tuple(range(g.n)), forced, False, 1, stop, _graph=g, _rows=rows)
+    problem = CoverProblem(g.n, full, monitor_matrix(g, rows).pair_arcs, forced, lower)
+    solution = solve_cover(problem, max_nodes=cfg.max_nodes, strategy=cfg.strategy, stop=stop)
     return MagResult(
-        solution.size, solution.witness, forced, solution.optimal, solution.nodes,
-        _graph=g, _matrix=matrix,
+        solution.size, solution.witness, forced, solution.optimal, solution.nodes, solution.lower,
+        _graph=g, _rows=rows,
     )
 
 
@@ -101,18 +129,18 @@ def min_mag_set(g: OrientedGraph, cfg: Optional[SolverConfig] = None) -> MagResu
     config.  A graph with no arcs has mag 0 and an empty witness."""
     cfg = cfg or SolverConfig()
     if g.m == 0:
-        return MagResult(0, (), frozenset(), True, 0, _graph=g)
+        return MagResult(0, (), frozenset(), True, 0, 0, _graph=g)
     comps = g.components()
     if len(comps) == 1:
         return _solve_connected(g, cfg, forced_vertices(g).vertices)
     # solve per component and merge through the vertex relabeling; pairs
     # across components monitor nothing, so the coverage of the merged
-    # witness is that of the whole graph's matrix
+    # witness comes from the whole graph's kernel rows
     size = 0
     witness: list[int] = []
     forced_all: set[int] = set()
     optimal = True
-    nodes = 0
+    nodes = lower = 0
     for comp in comps:
         verts = sorted(comp)
         local = {v: i for i, v in enumerate(verts)}
@@ -124,4 +152,5 @@ def min_mag_set(g: OrientedGraph, cfg: Optional[SolverConfig] = None) -> MagResu
         forced_all.update(verts[v] for v in res.forced)
         optimal = optimal and res.optimal
         nodes += res.nodes
-    return MagResult(size, tuple(sorted(witness)), frozenset(forced_all), optimal, nodes, _graph=g)
+        lower += res.lower
+    return MagResult(size, tuple(sorted(witness)), frozenset(forced_all), optimal, nodes, lower, _graph=g)

@@ -7,20 +7,19 @@ the enumeration evaluates only the masks with the top bit clear.  Each is
 the smaller mask of its reversal pair, so the first one scanned to attain a
 value is the smallest of all 2^m masks that attain it: its witness.
 
-The output is only the set of values and the witnesses, so a mask is
-solved only when its value could be new.  Its lower bound is the number of
-sources and sinks, read off the mask, or its forced set; its upper bound is
-n - 1 unless the forced set is all of V, in which case mag = n exactly.  A
-mask whose bounds allow only values with an earlier witness is skipped.
-This is exact: the skipped mask's value is already in the spectrum with a
-smaller witness.  It holds per pool chunk too, since each chunk skips only
-on its own earlier masks and the merge keeps mask order.
+The output is only the set of values and the witnesses, so each mask costs
+only what can decide whether its value could be new (the tiers of
+:func:`_scan_masks`).  A mask skipped or given up on has its value in a
+range whose every value has an earlier witness, so the values, extremes
+and witnesses are those of a full scan.  This holds per pool chunk too,
+since each chunk skips only on its own earlier masks and the merge keeps
+mask order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from .digraph import OrientedGraph, UndirectedGraph
 from .errors import (
@@ -30,8 +29,8 @@ from .errors import (
     TooManyEdgesError,
     WidthMismatchError,
 )
-from .monitoring import forced_vertices, is_extremal
-from .solver import SolverConfig, _solve_connected, mag_lower_bound
+from .monitoring import _first_unbypassed, _forced_reasons
+from .solver import SolverConfig, _solve_connected
 
 DEFAULT_EDGE_CAP = 20
 
@@ -41,7 +40,10 @@ class SpectrumResult:
     """The values of mag over all orientations, the extremes, and per
     extreme its first attaining mask.  ``complete`` is False when a stop
     flag ended the scan: then only the extreme it stopped at and that
-    extreme's witness are exact."""
+    extreme's witness are exact.  ``counts`` holds the scan's work, summed
+    over pool chunks: the masks scanned, those that reached forcing or the
+    extremal test, those searched, and the full matrices built.  It
+    depends on the worker count, so equality ignores it."""
 
     mag_minus: int
     mag_plus: int
@@ -50,6 +52,7 @@ class SpectrumResult:
     witness_min: int
     witness_max: int
     complete: bool
+    counts: dict[str, int] = field(default_factory=dict, compare=False)
 
     def witness_min_bits(self, m: int) -> str:
         """Bitstring in edge-index order, leftmost = edge 0."""
@@ -69,6 +72,62 @@ def orient(G: UndirectedGraph, mask: int) -> OrientedGraph:
     return OrientedGraph._canonical(G.n, arcs)
 
 
+# a vertex's edges are split into chunks of at most this many, each with a
+# table over its 2^_CHUNK orientations, so the tables stay small on any degree
+_CHUNK = 8
+
+# per vertex: in-neighbour mask, out-neighbour mask, in- and out-neighbours
+Neighbourhood = tuple[int, int, tuple[int, ...], tuple[int, ...]]
+
+
+def _neighbourhood_lookup(G: UndirectedGraph) -> Callable[[int], Iterator[tuple]]:
+    """Per-graph tables giving, for any mask, every vertex's in- and
+    out-neighbour masks and lists (increasing, since a vertex's edges in
+    index order lead to increasing neighbours) without building the
+    orientation.  A vertex with several chunks ORs their masks and joins
+    their lists in chunk order."""
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(G.n)]
+    for i, (u, v) in enumerate(G.edges):
+        incident[u].append((i, v))
+        incident[v].append((i, u))
+    first: list[tuple[int, dict[int, Neighbourhood]]] = []
+    rest: list[tuple[int, int, dict[int, Neighbourhood]]] = []
+    for v, edges in enumerate(incident):
+        for c in range(0, max(len(edges), 1), _CHUNK):
+            chunk = edges[c : c + _CHUNK]
+            table: dict[int, Neighbourhood] = {}
+            for pattern in range(1 << len(chunk)):
+                key = in_mask = out_mask = 0
+                in_list, out_list = [], []
+                for j, (i, w) in enumerate(chunk):
+                    reversed_ = pattern >> j & 1
+                    key |= reversed_ << i
+                    # bit i set reverses edge i to run from its larger end
+                    if reversed_ == (v < w):
+                        in_mask |= 1 << w
+                        in_list.append(w)
+                    else:
+                        out_mask |= 1 << w
+                        out_list.append(w)
+                table[key] = (in_mask, out_mask, tuple(in_list), tuple(out_list))
+            chunk_mask = sum(1 << i for i, _ in chunk)
+            if c:
+                rest.append((v, chunk_mask, table))
+            else:
+                first.append((chunk_mask, table))
+
+    def lookup(mask: int) -> Iterator[tuple]:
+        """(ins, outs, in_list, out_list) of the orientation ``mask``."""
+        nb = [table[mask & chunk_mask] for chunk_mask, table in first]
+        for v, chunk_mask, table in rest:
+            i, o, il, ol = table[mask & chunk_mask]
+            a, b, al, bl = nb[v]
+            nb[v] = (a | i, b | o, al + il, bl + ol)
+        return zip(*nb)
+
+    return lookup
+
+
 def _scan_masks(
     G: UndirectedGraph,
     lo: int,
@@ -76,63 +135,80 @@ def _scan_masks(
     cfg: SolverConfig,
     stop_at_two: bool = False,
     stop_at_n: bool = False,
-) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
+) -> tuple[dict[int, int], list[tuple[int, int, int]], dict[str, int]]:
     """Scan the masks in [lo, hi), each the smaller of its reversal pair.
 
-    Returns the map mag value -> first attaining mask, and each mask whose
-    solve ran out of budget as (mask, lower, upper) bounds on its value.
-    A mask whose bounds allow only values already mapped is skipped, since
-    its value has an earlier witness.  The bounds are tried cheapest first:
-    the sources and sinks read off the mask, then the forced set (all of V
-    exactly when mag = n, so otherwise mag <= n - 1).  Stops early once mag
-    2 (``stop_at_two``) or mag n (``stop_at_n``) is attained; a stop fires
-    on a new value, which is never skipped.
+    Returns the map mag value -> first attaining mask; each mask whose
+    solve ran out of budget, as (mask, lower, upper) bounds on its value;
+    and the work counts.  A value at least ``top`` (all of [top, n] has a
+    witness) or in [``ceil``, n - 1] (all of it has one) cannot be new, and
+    each tier stops at the first bound that puts the mask's value there:
+
+    1. mag is at least the number of sources and sinks (n - 1 on a complete
+       graph), read from per-graph neighbourhood tables with no orientation
+       built: skip when that is at least ``top``.
+    2. The forced set F is all of V exactly when mag = n, that is, when
+       every vertex is a source, a sink or bypassed (the extremal
+       characterization).  When tier 1 leaves room only for mag = n, that
+       test alone decides, stopping at the first vertex that fails it.
+       Otherwise mag is in [max(2 or n - 1, |F|), n - 1] unless F = V.
+    3. Search, giving up before level ``ceil``: no cover below it puts mag
+       in [ceil, n - 1].  A search out of budget reports the level it
+       reached as its lower bound, so a pool chunk, which has seen less and
+       gives up later, leaves a pending range that the merge judges as the
+       serial scan would.
+
+    Stops early once mag 2 (``stop_at_two``) or mag n (``stop_at_n``) is
+    attained; a stop fires on a new value, which is never skipped.
     """
     n = G.n
     if not G.m:
         # at most one vertex: mag 0, where the connected solve would force it
-        return {0: 0}, []
-    # per vertex, its edges and those where it is the larger end: under
-    # ``mask``, (mask ^ high) & inc holds the edges entering the vertex
-    inc, high = [0] * n, [0] * n
-    for i, (u, v) in enumerate(G.edges):
-        inc[u] |= 1 << i
-        inc[v] |= 1 << i
-        high[v] |= 1 << i
-    ends_of = list(zip(inc, high))
+        return {0: 0}, [], dict(masks_scanned=1, masks_forced=0, masks_searched=0, full_matrices=0)
+    lookup = _neighbourhood_lookup(G)
     floor = max(2, n - 1) if G.m == n * (n - 1) // 2 else 2  # tournaments: n - 1
     best: dict[int, int] = {}
     pending: list[tuple[int, int, int]] = []
-    top = n + 1  # every value in [top, n] has a witness
+    top, ceil = n + 1, n
+    scanned = forced_count = searched = matrices = 0
     for mask in range(lo, hi):
-        if top <= n:
-            ends = 0
-            for iv, hv in ends_of:
-                x = (mask ^ hv) & iv
-                if not x or x == iv:
-                    ends += 1
-            if max(floor, ends) >= top:
+        scanned += 1
+        ins, outs, in_list, out_list = lookup(mask)
+        low = max(floor, ins.count(0) + outs.count(0))  # the sources and sinks
+        if low >= top:
+            continue
+        forced_count += 1
+        if low >= ceil:
+            # only mag = n can be new, and that is the extremal test
+            if _first_unbypassed(ins, outs, in_list, out_list) is not None:
                 continue
-        g = orient(G, mask)
-        forced = forced_vertices(g).vertices
-        if len(forced) == n:
+            size = n
+        elif len(reasons := _forced_reasons(ins, outs, in_list, out_list)) == n:
             size = n
         else:
-            lower = mag_lower_bound(g, forced)
-            if all(v in best for v in range(lower, n)):
+            lower = max(floor, len(reasons))
+            if ceil <= lower:
                 continue
-            res = _solve_connected(g, cfg, forced)
+            searched += 1
+            res = _solve_connected(orient(G, mask), cfg, frozenset(reasons), stop=ceil)
+            matrices += None not in res._rows  # the forced rows did not settle it
             if not res.optimal:
-                pending.append((mask, lower, min(res.size, n - 1)))
+                upper = min(res.size, n - 1)
+                if not all(v in best for v in range(res.lower, upper + 1)):
+                    pending.append((mask, res.lower, upper))
                 continue
             size = res.size
         if size not in best:
             best[size] = mask
             while top - 1 in best:
                 top -= 1
+            while ceil - 1 in best:
+                ceil -= 1
             if (stop_at_two and size == 2) or (stop_at_n and size == n):
                 break
-    return best, pending
+    counts = dict(masks_scanned=scanned, masks_forced=forced_count, masks_searched=searched,
+                  full_matrices=matrices)
+    return best, pending, counts
 
 
 def spectrum(
@@ -154,6 +230,10 @@ def spectrum(
     only when its value could be one without an earlier witness, so the
     outcome is the same for any worker count.
     """
+    if threads < 1:
+        raise BadParamError(f"need at least 1 thread, got {threads}")
+    if max_edges < 0:
+        raise BadParamError(f"the edge cap must be non-negative, got {max_edges}")
     if not G.is_connected():
         raise DisconnectedInputError("spectrum requires a connected graph")
     if G.m > max_edges:
@@ -174,12 +254,13 @@ def spectrum(
             parts = list(pool.map(partial(_scan_masks, G, cfg=cfg), los, his))
         best: dict[int, int] = {}
         pending: list[tuple[int, int, int]] = []
-        for part, part_pending in parts:  # in mask order
+        for part, part_pending, _ in parts:  # in mask order
             for val, mask in part.items():
                 best.setdefault(val, mask)
             pending.extend(part_pending)
+        counts = {key: sum(part[2][key] for part in parts) for key in parts[0][2]}
     else:
-        best, pending = _scan_masks(G, 0, total, cfg, stop_at_two, stop_at_n)
+        best, pending, counts = _scan_masks(G, 0, total, cfg, stop_at_two, stop_at_n)
     for mask, lower, upper in pending:
         if any(best.get(v, total) > mask for v in range(lower, upper + 1)):
             raise BudgetExceededError("solver budget exhausted during spectrum scan")
@@ -193,6 +274,7 @@ def spectrum(
         witness_min=best[mag_minus],
         witness_max=best[mag_plus],
         complete=not ((stop_at_two and 2 in best) or (stop_at_n and G.n in best)),
+        counts=counts,
     )
 
 
@@ -201,8 +283,9 @@ def mag_plus_at_least_n(G: UndirectedGraph, max_edges: int = DEFAULT_EDGE_CAP) -
 
     Bipartite graphs with an edge short-circuit to True: orienting every
     edge from one part to the other makes all vertices sources or sinks.
-    Otherwise orientations are enumerated with an extremal test and early
-    exit on the first success.
+    Otherwise the orientations are enumerated, their neighbourhoods read
+    from the scan's tables, until one passes the extremal test: every
+    vertex a source, a sink, or bypassed.
     """
     if not G.is_connected():
         raise DisconnectedInputError("requires a connected graph")
@@ -213,7 +296,6 @@ def mag_plus_at_least_n(G: UndirectedGraph, max_edges: int = DEFAULT_EDGE_CAP) -
         return True
     if G.m > max_edges:
         raise TooManyEdgesError(f"{G.m} edges exceeds the cap of {max_edges}")
-    for mask in range(1 << (G.m - 1)):  # is_extremal is reversal-invariant
-        if is_extremal(orient(G, mask))[0]:
-            return True
-    return False
+    lookup = _neighbourhood_lookup(G)
+    # the test is reversal-invariant
+    return any(_first_unbypassed(*lookup(mask)) is None for mask in range(1 << (G.m - 1)))

@@ -270,7 +270,7 @@ def solve_cover_sweep(problem: CoverProblem, max_nodes: int = 10_000_000) -> Cov
     free = [v for v in range(problem.n) if v not in problem.forced]
     base = coverage_of(problem, forced)
     if base == problem.full_mask and len(forced) >= problem.lower_bound:
-        return CoverSolution(len(forced), forced, True, 0)
+        return CoverSolution(len(forced), forced, True, 0, len(forced))
     rows = pair_rows(problem.n, problem.pair_masks)
     with_forced = {v: 0 for v in free}
     for v in free:
@@ -306,15 +306,16 @@ def solve_cover_sweep(problem: CoverProblem, max_nodes: int = 10_000_000) -> Cov
         return False
 
     start_k = max(problem.lower_bound, len(forced))
+    k = start_k  # a budget stop proves every smaller level empty
     try:
         for k in range(start_k, problem.n + 1):
             if rec(0, [], base, k - len(forced)):
                 assert found is not None
                 witness = tuple(sorted(forced + tuple(found)))
-                return CoverSolution(k, witness, True, nodes)
+                return CoverSolution(k, witness, True, nodes, k)
     except _BudgetStop:
         fallback = tuple(range(problem.n))
-        return CoverSolution(problem.n, fallback, False, nodes)
+        return CoverSolution(problem.n, fallback, False, nodes, k)
     finally:
         del rec  # rec refers to itself: unbind it so the search state is freed now
     # full vertex set always covers (callers only pose feasible problems)
@@ -336,7 +337,7 @@ def solve_cover_branch_bound(
     best = sorted(upper_witness) if upper_witness is not None else list(range(n))
     root_cov = coverage_of(problem, forced)
     if root_cov == full and len(forced) < len(best):
-        return CoverSolution(len(forced), forced, True, 1)  # the root is a cover
+        return CoverSolution(len(forced), forced, True, 1, len(forced))  # the root is a cover
 
     rows = pair_rows(n, problem.pair_masks)
     # the most-constrained uncovered target is the first uncovered one in
@@ -388,7 +389,8 @@ def solve_cover_branch_bound(
     try:
         rec(set(forced), root_cov)
     except _BudgetStop:
-        return CoverSolution(len(best), tuple(best), False, nodes)
+        lower = max(problem.lower_bound, len(forced))
+        return CoverSolution(len(best), tuple(best), False, nodes, lower)
     finally:
         del rec  # rec refers to itself: unbind it so the search state is freed now
-    return CoverSolution(len(best), tuple(best), True, nodes)
+    return CoverSolution(len(best), tuple(best), True, nodes, len(best))

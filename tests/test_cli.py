@@ -64,6 +64,10 @@ def test_spectrum_command(capsys, monkeypatch):
     assert report["result"]["gap"] == 4
     assert len(report["result"]["witness_min"]) == 6
     assert report["result"]["complete"] is True
+    # the scan's work: every mask is scanned, one needs no search
+    assert report["stats"] == {
+        "masks_scanned": 32, "masks_forced": 32, "masks_searched": 31, "full_matrices": 16,
+    }
     # a stopped scan is marked: its mag-minus 5 is not the full scan's 4
     text = "undirected 6 6\n0 1\n1 2\n1 3\n1 5\n2 4\n2 5\n"
     rc, report, _ = run_json(capsys, monkeypatch, ["spectrum", "-", "--stop-at-n"], text)
@@ -71,6 +75,21 @@ def test_spectrum_command(capsys, monkeypatch):
     assert (report["result"]["mag_minus"], report["result"]["complete"]) == (5, False)
     rc, report, _ = run_json(capsys, monkeypatch, ["spectrum", "-"], text)
     assert (report["result"]["mag_minus"], report["result"]["complete"]) == (4, True)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "-", "--threads", "0"],
+    ["spectrum", "-", "--threads", "-3"],
+    ["spectrum", "-", "--max-edges", "-1"],
+    ["extremal", "-", "--max-edges", "-1"],
+])
+def test_bad_threads_and_edge_cap_exit_2(capsys, monkeypatch, argv):
+    # a worker count below 1 does not mean a serial scan, and a negative
+    # edge cap is not a cap that the graph exceeds
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, monkeypatch, argv, C6_UNDIRECTED)
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
 
 
 def test_extremal_both_input_kinds(capsys, monkeypatch):

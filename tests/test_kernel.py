@@ -335,3 +335,26 @@ def test_cover_searches_match_reference(problem, data):
         budgets.add(data.draw(st.integers(1, total + 1)))
         for budget in sorted(budgets):
             assert fast(problem, budget, *known) == reference(problem, budget, *known)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cover_problems(), st.data())
+def test_sweep_stop_and_budget_report_the_level_reached(problem, data):
+    # a sweep searches each level below ``stop`` in full and then gives up,
+    # so its nodes are those of the levels below; a budget that runs out in
+    # level k reports k, the least size a cover can still have
+    whole = solve_cover_sweep(problem)
+    if whole.nodes == 0:
+        return  # the forced set covers: no level is searched
+    assert solve_cover_sweep(problem, stop=whole.size + 1) == whole
+    start = max(problem.lower_bound, len(problem.forced))
+    below = {}  # level -> nodes of the levels below it
+    for k in range(start, whole.size + 1):
+        gave_up = solve_cover_sweep(problem, stop=k)
+        assert (gave_up.size, gave_up.optimal, gave_up.lower) == (problem.n, False, k)
+        below[k] = gave_up.nodes
+    budgets = {1, whole.nodes - 1, data.draw(st.integers(1, whole.nodes))} - {0, whole.nodes}
+    for budget in budgets:
+        out = solve_cover_sweep(problem, budget)
+        assert not out.optimal
+        assert out.lower == max(k for k, nodes in below.items() if nodes <= budget)

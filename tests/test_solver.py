@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magsets import (
+    BadParamError,
     OrientedGraph,
     SolverConfig,
     Strategy,
@@ -153,6 +154,28 @@ def test_budget_exhaustion_degrades_gracefully():
     res = min_mag_set(g, SolverConfig(max_nodes=1))
     assert not res.optimal
     assert is_mag_set(g, res.witness)[0]
+    assert len(res.forced) <= res.lower <= min_mag_set(g).size
+    # a budget must allow one node, whichever path the solve takes
+    with pytest.raises(BadParamError):
+        SolverConfig(max_nodes=0)
+
+
+def test_covering_forced_set_builds_only_its_rows(monkeypatch):
+    # the forced ends of a directed path cover every arc: the solve builds
+    # their two kernel rows only, the certificate reads them, and the node
+    # counts are those of the searches' own early returns
+    from magsets import monitoring
+
+    sources = []
+    row = monitoring._sole_route_row
+    monkeypatch.setattr(monitoring, "_sole_route_row", lambda adj, x: sources.append(x) or row(adj, x))
+    g = directed_path(7)
+    for strategy, nodes in [(Strategy.AUTO, 0), (Strategy.CARDINALITY_SWEEP, 0), (Strategy.BRANCH_AND_BOUND, 1)]:
+        sources.clear()
+        res = min_mag_set(g, SolverConfig(strategy=strategy))
+        assert (res.size, res.witness, res.optimal, res.nodes, res.lower) == (2, (0, 6), True, nodes, 2)
+        assert res.coverage == {a: (0, 6) for a in range(6)}
+        assert sorted(sources) == [0, 6]
 
 
 def test_cycle_closed_forms():

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magsets import (
+    BadParamError,
     BudgetExceededError,
     DisconnectedInputError,
     OrientedGraph,
@@ -15,6 +16,8 @@ from magsets import (
     UndirectedGraph,
     WidthMismatchError,
     forced_vertices,
+    is_extremal,
+    is_mag_set,
     mag_lower_bound,
     mag_plus_at_least_n,
     min_mag_set,
@@ -22,11 +25,13 @@ from magsets import (
     spectrum,
 )
 from magsets.families import construction_gj
+from magsets.monitoring import _neighbourhoods
 
 from helpers import brute_spectrum, random_connected_undirected, random_tree
 
-# the module; ``magsets.spectrum`` is the function
+# the modules; ``magsets.spectrum`` is the function
 scan = importlib.import_module("magsets.spectrum")
+solver = importlib.import_module("magsets.solver")
 
 
 def undirected_cycle(n):
@@ -192,42 +197,80 @@ def test_spectrum_equals_brute_scan(G):
     UndirectedGraph(6, ((0, 1), (1, 2), (1, 3), (1, 5), (2, 4), (2, 5))),
 ], ids=["C5", "C6", "K4", "star", "n6"])
 def test_scan_works_only_on_masks_that_could_add_a_value(G, monkeypatch):
-    # With every value of the earlier masks known, a mask is oriented only
+    # With every value of the earlier masks known, a mask is forced only
     # when its sources and sinks (or n - 1 on a complete graph) leave room
-    # below the least t with [t, n] all seen, and solved only when its
-    # forced set is not all of V and [its lower bound, n - 1] is not all
-    # seen.
+    # below the least t with [t, n] all seen.  When that bound leaves room
+    # only for mag = n, the extremal test alone decides; otherwise the mask
+    # is searched only when its forced set is not all of V and [its lower
+    # bound, n - 1] is not all seen.  A search builds rows beyond its
+    # forced set F only when F does not cover and [|F| + 1, n - 1] is not
+    # all seen: otherwise it stops right after F alone.
     total = 1 << (G.m - 1)
     floor = G.n - 1 if G.m == G.n * (G.n - 1) // 2 else 2
-    want_oriented, want_solved, seen = [], [], set()
+    want_forced, want_extremal, want_searched, want_completed, seen = [], [], [], [], set()
     for mask in range(total):
         g = orient(G, mask)
         top = G.n + 1
         while top - 1 in seen:
             top -= 1
         sources, sinks = g.sources_and_sinks()
-        if max(floor, len(sources | sinks)) < top:
-            want_oriented.append(mask)
+        ends = max(floor, len(sources | sinks))
+        if ends < top:
+            want_forced.append(mask)
             forced = forced_vertices(g).vertices
-            if len(forced) < G.n and not set(range(mag_lower_bound(g, forced), G.n)) <= seen:
-                want_solved.append(mask)
+            if set(range(ends, G.n)) <= seen:
+                want_extremal.append(mask)
+            elif len(forced) < G.n and not set(range(mag_lower_bound(g, forced), G.n)) <= seen:
+                want_searched.append(mask)
+                if not is_mag_set(g, forced)[0] and not set(range(len(forced) + 1, G.n)) <= seen:
+                    want_completed.append(mask)
         seen.add(min_mag_set(g).size)
-    oriented, solved = [], []
+    looked_up, forced, extremal, searched, completed = [], [], [], [], []
+
+    def record_lookup(G):
+        lookup = lookup_of(G)
+
+        def recording(mask):
+            looked_up.append(mask)
+            return lookup(mask)
+
+        return recording
+
+    def record_forcing(*neighbourhoods):
+        forced.append(looked_up[-1])
+        return forcing(*neighbourhoods)
+
+    def record_extremal(*neighbourhoods):
+        forced.append(looked_up[-1])
+        extremal.append(looked_up[-1])
+        return extremal_test(*neighbourhoods)
 
     def record_orient(G, mask):
-        oriented.append(mask)
+        searched.append(mask)
         return orient(G, mask)
 
-    def record_solve(g, cfg, forced):
-        solved.append(oriented[-1])
-        return solve(g, cfg, forced)
+    def record_matrix(g, rows=None):
+        completed.append(searched[-1])
+        return matrix(g, rows)
 
-    solve = scan._solve_connected
+    lookup_of, forcing, extremal_test = scan._neighbourhood_lookup, scan._forced_reasons, scan._first_unbypassed
+    matrix = solver.monitor_matrix
+    monkeypatch.setattr(scan, "_neighbourhood_lookup", record_lookup)
+    monkeypatch.setattr(scan, "_forced_reasons", record_forcing)
+    monkeypatch.setattr(scan, "_first_unbypassed", record_extremal)
     monkeypatch.setattr(scan, "orient", record_orient)
-    monkeypatch.setattr(scan, "_solve_connected", record_solve)
-    spectrum(G)
-    assert (oriented, solved) == (want_oriented, want_solved)
-    assert len(solved) < total
+    monkeypatch.setattr(solver, "monitor_matrix", record_matrix)
+    sp = spectrum(G)
+    assert looked_up == list(range(total))
+    assert (forced, extremal) == (want_forced, want_extremal)
+    assert (searched, completed) == (want_searched, want_completed)
+    assert len(searched) < total
+    assert sp.counts == {
+        "masks_scanned": total,
+        "masks_forced": len(forced),
+        "masks_searched": len(searched),
+        "full_matrices": len(completed),
+    }
 
 
 def budget_outcomes(G, budget):
@@ -293,3 +336,89 @@ def test_budget_stop_before_a_first_witness_raises():
     assert brute_spectrum(G).witness_min == 4
     with pytest.raises(BudgetExceededError):
         spectrum(G, SolverConfig(max_nodes=3))
+
+
+def test_level_stop_and_chunk_budget_agree(monkeypatch):
+    # Serially, mask 76 is settled by the level stop: its sweep finds no
+    # cover below level 3 in 5 nodes, and every value in [3, 5] has an
+    # earlier witness.  Its pool chunk (masks 64-95) has seen less, so its
+    # sweep goes on to level 3 and runs out of budget there; it reports the
+    # level it reached, so the merge judges the mask as the serial scan did
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    G = UndirectedGraph(6, ((0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (1, 4), (3, 4), (3, 5)))
+    solves = []
+    oriented = []
+
+    def record_orient(G, mask):
+        oriented.append(mask)
+        return orient(G, mask)
+
+    def record_solve(g, cfg, forced, stop=None):
+        res = solve(g, cfg, forced, stop=stop)
+        solves[-1][oriented[-1]] = (stop, res.optimal, res.lower)
+        return res
+
+    solve = scan._solve_connected
+    monkeypatch.setattr(scan, "orient", record_orient)
+    monkeypatch.setattr(scan, "_solve_connected", record_solve)
+    outcomes = []
+    for threads in (1, 2):
+        solves.append({})
+        outcomes.append(spectrum(G, SolverConfig(max_nodes=5), threads=threads))
+    serial, chunked = solves
+    assert serial[76] == (3, False, 3)  # gave up before level 3
+    assert chunked[76] == (4, False, 3)  # out of budget in level 3
+    assert outcomes[0] == outcomes[1] == brute_spectrum(G)
+
+
+def test_bad_threads_and_edge_cap_rejected():
+    G = undirected_cycle(5)
+    for kwargs in ({"threads": 0}, {"threads": -3}, {"max_edges": -1}):
+        with pytest.raises(BadParamError):
+            spectrum(G, **kwargs)
+    assert spectrum(G, max_edges=5).spectrum == spectrum(G).spectrum
+
+
+def test_chunk_counts_are_summed(monkeypatch):
+    # the pool's counts are the sums of its chunks' counts
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    G = undirected_cycle(8)
+    cfg = SolverConfig()
+    parts = [scan._scan_masks(G, lo, lo + 32, cfg)[2] for lo in range(0, 128, 32)]
+    pooled = spectrum(G, threads=2).counts
+    assert pooled == {key: sum(part[key] for part in parts) for key in parts[0]}
+    assert pooled["masks_scanned"] == 128
+    serial = spectrum(G).counts
+    assert serial["masks_scanned"] == 128 and serial["masks_searched"] <= pooled["masks_searched"]
+
+
+def test_neighbourhood_lookup_matches_orientations():
+    # a vertex with more edges than fit one table (19 at the default edge
+    # cap) gets several; the joined neighbourhoods and the forced set equal
+    # those of the built orientation
+    rng = random.Random(5)
+    star = UndirectedGraph(20, tuple((0, v) for v in range(1, 20)))
+    wheel = UndirectedGraph(11, tuple((0, v) for v in range(1, 11)) + tuple(
+        (v, v % 10 + 1) for v in range(1, 11)))
+    for G in (star, wheel, complete_graph(6)):
+        lookup = scan._neighbourhood_lookup(G)
+        for mask in [0, (1 << G.m) - 1] + [rng.randrange(1 << G.m) for _ in range(200)]:
+            g = orient(G, mask)
+            ins, outs, in_list, out_list = lookup(mask)
+            want = _neighbourhoods(g)
+            assert (list(ins), list(outs)) == (want[0], want[1])
+            assert [list(x) for x in in_list] == want[2] and [list(x) for x in out_list] == want[3]
+            assert scan._forced_reasons(ins, outs, in_list, out_list) == forced_vertices(g).reasons
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(max_n=8, max_m=11))
+def test_mag_plus_at_least_n_equals_extremal_scan(G):
+    if G.m == 0:
+        return  # a lone vertex is vacuously extremal, but its mag is 0
+    want = any(is_extremal(orient(G, mask))[0] for mask in range(1 << G.m))
+    assert mag_plus_at_least_n(G) == want

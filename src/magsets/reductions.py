@@ -19,6 +19,7 @@ from typing import Optional, Union
 
 from .digraph import OrientedGraph, UndirectedGraph
 from .errors import (
+    BadParamError,
     InvalidInstanceError,
     ParseError,
     TooLargeError,
@@ -117,6 +118,8 @@ def verify_nae_reduction(phi: Nae3SatInstance, max_edges: int = DEFAULT_EDGE_CAP
     """Does [some orientation of the gadget has mag = |V|] match the brute
     satisfiability verdict?  Evaluated per connected component (disjoint
     clause groups are independent on both sides)."""
+    if max_edges < 0:
+        raise BadParamError(f"the edge cap must be non-negative, got {max_edges}")
     art = nae3sat_to_graph(phi)
     G = art.graph
     assert isinstance(G, UndirectedGraph)

@@ -2,26 +2,33 @@
 
 An orientation of an undirected graph is encoded by a bitmask with one bit
 per edge index: bit 0 means the arc runs (min, max), bit 1 the reverse.
-Reversing every arc preserves mag (monitoring checks both directions), so
-the enumeration evaluates only the masks with the top bit clear.  Each is
-the smaller mask of its reversal pair, so the first one scanned to attain a
-value is the smallest of all 2^m masks that attain it: its witness.
+Reversing every arc preserves mag (monitoring checks both directions), and
+so does relabelling by an automorphism of G: both act on the masks, and
+every mask in an orbit of the group they generate has the same mag.  The
+enumeration scans the masks with the top bit clear (the smaller of each
+reversal pair) and skips a mask when some automorphism, with or without
+reversal, maps it to a smaller one.  The least mask of an orbit is never
+skipped, so the first mask scanned to attain a value is the least of all
+2^m masks that attain it: its witness.  The skip needs no group structure,
+so keeping only some of the automorphisms keeps it exact.
 
 The output is only the set of values and the witnesses, so each mask costs
 only what can decide whether its value could be new (the tiers of
 :func:`_scan_masks`).  A mask skipped or given up on has its value in a
 range whose every value has an earlier witness, so the values, extremes
-and witnesses are those of a full scan.  This holds per pool chunk too,
-since each chunk skips only on its own earlier masks and the merge keeps
-mask order.
+and witnesses are those of a full scan.  This holds per pool chunk too:
+a chunk skips by value only on its own earlier masks, by symmetry only a
+mask whose least orbit mate some chunk scans, and the merge keeps mask
+order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterator, Optional
+from itertools import islice
+from typing import Callable, Iterator, Optional, Sequence
 
-from .digraph import OrientedGraph, UndirectedGraph
+from .digraph import OrientedGraph, UndirectedGraph, _bfs
 from .errors import (
     BadParamError,
     BudgetExceededError,
@@ -41,9 +48,10 @@ class SpectrumResult:
     extreme its first attaining mask.  ``complete`` is False when a stop
     flag ended the scan: then only the extreme it stopped at and that
     extreme's witness are exact.  ``counts`` holds the scan's work, summed
-    over pool chunks: the masks scanned, those that reached forcing or the
-    extremal test, those searched, and the full matrices built.  It
-    depends on the worker count, so equality ignores it."""
+    over pool chunks: the masks scanned, those of them skipped by symmetry,
+    those that reached forcing or the extremal test, those searched, and
+    the full matrices built.  It depends on the worker count, so equality
+    ignores it."""
 
     mag_minus: int
     mag_plus: int
@@ -70,6 +78,94 @@ def orient(G: UndirectedGraph, mask: int) -> OrientedGraph:
     # G's edges are valid and sorted, so the arcs are already canonical
     arcs = tuple((v, u) if mask >> i & 1 else (u, v) for i, (u, v) in enumerate(G.edges))
     return OrientedGraph._canonical(G.n, arcs)
+
+
+# the most automorphisms the scan tests a mask against; a subset keeps the
+# skip exact, and this bounds the test's cost on a large group
+_MAX_SYMMETRIES = 128
+
+# each automorphism maps a mask through one table per chunk of this many edges
+_SYM_CHUNK = 6
+
+# an automorphism's action on masks: the bits it flips, and per chunk of
+# edge bits a table of their images
+Symmetry = tuple[int, tuple[list[int], ...]]
+
+
+def _automorphisms(G: UndirectedGraph) -> Iterator[tuple[int, ...]]:
+    """Every vertex permutation that maps G's edges onto its edges, by
+    backtracking over the vertices in breadth-first order from vertex 0: a
+    vertex goes only to an unused vertex of its degree whose neighbours
+    among the used vertices are the images of its placed neighbours (so a
+    neighbour of the first one's image)."""
+    nbs = G.neighbors
+    adj = [sum(1 << w for w in nb) for nb in nbs]
+    order = sorted(range(G.n), key=_bfs(nbs, 0).__getitem__) if G.n else []
+    rank = {v: k for k, v in enumerate(order)}
+    image = [0] * G.n
+
+    def extend(k: int, used: int) -> Iterator[tuple[int, ...]]:
+        if k == G.n:
+            yield tuple(image)
+            return
+        v = order[k]
+        placed = [image[u] for u in nbs[v] if rank[u] < k]
+        mask = sum(1 << w for w in placed)
+        for w in nbs[placed[0]] if placed else range(G.n):
+            if not used >> w & 1 and adj[w] & used == mask and len(nbs[w]) == len(nbs[v]):
+                image[v] = w
+                yield from extend(k + 1, used | 1 << w)
+
+    return extend(0, 0)
+
+
+def _mask_symmetries(G: UndirectedGraph) -> list[Symmetry]:
+    """The action on masks of at most ``_MAX_SYMMETRIES`` automorphisms
+    other than the identity.  Edge i = (u, v) goes to edge j = {p(u), p(v)},
+    and its bit flips when p(u) > p(v), so the image of a mask is the flip
+    mask XOR each chunk's table entry."""
+    identity = tuple(range(G.n))
+    index = {e: i for i, e in enumerate(G.edges)}
+    symmetries = []
+    for p in islice((p for p in _automorphisms(G) if p != identity), _MAX_SYMMETRIES):
+        flip = 0
+        images = []
+        for u, v in G.edges:
+            a, b = p[u], p[v]
+            j = index[(a, b) if a < b else (b, a)]
+            flip |= (a > b) << j
+            images.append(1 << j)
+        tables = []
+        for c in range(0, G.m, _SYM_CHUNK):
+            table = [0]
+            for bit in images[c : c + _SYM_CHUNK]:  # the patterns with this bit set follow
+                table += [image | bit for image in table]
+            tables.append(table)
+        symmetries.append((flip, tuple(tables)))
+    return symmetries
+
+
+def _canonical_masks(symmetries: Sequence[Symmetry], m: int, lo: int, hi: int) -> Iterator[int]:
+    """The masks in [lo, hi), all with the top bit clear, that no symmetry
+    maps to a smaller mask once the image is reversed to clear its top bit.
+    Each block of 2^_SYM_CHUNK masks shares the image of its high bits, so
+    a mask costs one table entry per symmetry."""
+    full = (1 << m) - 1
+    block = 1 << _SYM_CHUNK
+    for base in range(lo - lo % block, hi, block):
+        highs = []
+        for flip, tables in symmetries:
+            for c in range(1, len(tables)):
+                flip ^= tables[c][base >> c * _SYM_CHUNK & block - 1]
+            highs.append((flip, tables[0]))
+        for mask in range(max(lo, base), min(hi, base + block)):
+            low = mask - base
+            for high, table in highs:
+                image = high ^ table[low]
+                if image < mask or image ^ full < mask:
+                    break
+            else:
+                yield mask
 
 
 # a vertex's edges are split into chunks of at most this many, each with a
@@ -130,13 +226,17 @@ def _neighbourhood_lookup(G: UndirectedGraph) -> Callable[[int], Iterator[tuple]
 
 def _scan_masks(
     G: UndirectedGraph,
+    symmetries: Sequence[Symmetry],
     lo: int,
     hi: int,
     cfg: SolverConfig,
     stop_at_two: bool = False,
     stop_at_n: bool = False,
 ) -> tuple[dict[int, int], list[tuple[int, int, int]], dict[str, int]]:
-    """Scan the masks in [lo, hi), each the smaller of its reversal pair.
+    """Scan the masks in [lo, hi), each the smaller of its reversal pair,
+    that are the least of their orbit under ``symmetries`` (see
+    :func:`_canonical_masks`): a mask skipped has the value of a smaller
+    mask in its orbit, and the least of the orbit is not skipped.
 
     Returns the map mag value -> first attaining mask; each mask whose
     solve ran out of budget, as (mask, lower, upper) bounds on its value;
@@ -164,15 +264,16 @@ def _scan_masks(
     n = G.n
     if not G.m:
         # at most one vertex: mag 0, where the connected solve would force it
-        return {0: 0}, [], dict(masks_scanned=1, masks_forced=0, masks_searched=0, full_matrices=0)
+        return {0: 0}, [], dict(masks_scanned=1, masks_symmetric=0, masks_forced=0,
+                                masks_searched=0, full_matrices=0)
     lookup = _neighbourhood_lookup(G)
     floor = max(2, n - 1) if G.m == n * (n - 1) // 2 else 2  # tournaments: n - 1
     best: dict[int, int] = {}
     pending: list[tuple[int, int, int]] = []
     top, ceil = n + 1, n
-    scanned = forced_count = searched = matrices = 0
-    for mask in range(lo, hi):
-        scanned += 1
+    canonical = forced_count = searched = matrices = 0
+    for mask in _canonical_masks(symmetries, G.m, lo, hi):
+        canonical += 1
         ins, outs, in_list, out_list = lookup(mask)
         low = max(floor, ins.count(0) + outs.count(0))  # the sources and sinks
         if low >= top:
@@ -205,9 +306,10 @@ def _scan_masks(
             while ceil - 1 in best:
                 ceil -= 1
             if (stop_at_two and size == 2) or (stop_at_n and size == n):
+                hi = mask + 1
                 break
-    counts = dict(masks_scanned=scanned, masks_forced=forced_count, masks_searched=searched,
-                  full_matrices=matrices)
+    counts = dict(masks_scanned=hi - lo, masks_symmetric=hi - lo - canonical,
+                  masks_forced=forced_count, masks_searched=searched, full_matrices=matrices)
     return best, pending, counts
 
 
@@ -242,6 +344,7 @@ def spectrum(
         raise BadParamError("early exit (stop at mag 2 or n) needs a serial scan: use 1 thread")
     cfg = cfg or SolverConfig()
     total = 1 << max(G.m - 1, 0)  # the masks with the top bit clear
+    symmetries = _mask_symmetries(G)
     if threads > 1 and G.m >= 6:
         # imported here: multiprocessing and its imports add ~2.5 MB of resident
         # memory that a serial scan never needs
@@ -251,7 +354,7 @@ def spectrum(
         los = range(0, total, chunk)
         his = [min(lo + chunk, total) for lo in los]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(partial(_scan_masks, G, cfg=cfg), los, his))
+            parts = list(pool.map(partial(_scan_masks, G, symmetries, cfg=cfg), los, his))
         best: dict[int, int] = {}
         pending: list[tuple[int, int, int]] = []
         for part, part_pending, _ in parts:  # in mask order
@@ -260,7 +363,7 @@ def spectrum(
             pending.extend(part_pending)
         counts = {key: sum(part[2][key] for part in parts) for key in parts[0][2]}
     else:
-        best, pending, counts = _scan_masks(G, 0, total, cfg, stop_at_two, stop_at_n)
+        best, pending, counts = _scan_masks(G, symmetries, 0, total, cfg, stop_at_two, stop_at_n)
     for mask, lower, upper in pending:
         if any(best.get(v, total) > mask for v in range(lower, upper + 1)):
             raise BudgetExceededError("solver budget exhausted during spectrum scan")
@@ -283,10 +386,13 @@ def mag_plus_at_least_n(G: UndirectedGraph, max_edges: int = DEFAULT_EDGE_CAP) -
 
     Bipartite graphs with an edge short-circuit to True: orienting every
     edge from one part to the other makes all vertices sources or sinks.
-    Otherwise the orientations are enumerated, their neighbourhoods read
+    Otherwise the scan's masks are enumerated, their neighbourhoods read
     from the scan's tables, until one passes the extremal test: every
-    vertex a source, a sink, or bypassed.
+    vertex a source, a sink, or bypassed.  The test is invariant under
+    reversal and automorphisms, so one mask per orbit decides it.
     """
+    if max_edges < 0:
+        raise BadParamError(f"the edge cap must be non-negative, got {max_edges}")
     if not G.is_connected():
         raise DisconnectedInputError("requires a connected graph")
     if G.m == 0:
@@ -297,5 +403,5 @@ def mag_plus_at_least_n(G: UndirectedGraph, max_edges: int = DEFAULT_EDGE_CAP) -
     if G.m > max_edges:
         raise TooManyEdgesError(f"{G.m} edges exceeds the cap of {max_edges}")
     lookup = _neighbourhood_lookup(G)
-    # the test is reversal-invariant
-    return any(_first_unbypassed(*lookup(mask)) is None for mask in range(1 << (G.m - 1)))
+    masks = _canonical_masks(_mask_symmetries(G), G.m, 0, 1 << (G.m - 1))
+    return any(_first_unbypassed(*lookup(mask)) is None for mask in masks)

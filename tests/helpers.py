@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Sequence
 
 from magsets import (
@@ -11,7 +11,9 @@ from magsets import (
     OrientedGraph,
     SpectrumResult,
     UndirectedGraph,
+    forced_vertices,
     is_mag_set,
+    mag_lower_bound,
     min_mag_set,
     monitor_matrix,
     orient,
@@ -69,6 +71,76 @@ def brute_spectrum(G: UndirectedGraph) -> SpectrumResult:
         first.setdefault(min_mag_set(orient(G, mask)).size, mask)
     lo, hi = min(first), max(first)
     return SpectrumResult(lo, hi, frozenset(first), hi - lo, first[lo], first[hi], complete=True)
+
+
+def automorphisms_by_permutation(G: UndirectedGraph) -> list[tuple[int, ...]]:
+    """Every vertex permutation mapping G's edge set onto itself, from all
+    n! permutations; only sane for n <= 7 or so."""
+    edges = set(G.edges)
+    return [
+        p for p in permutations(range(G.n))
+        if {(min(p[u], p[v]), max(p[u], p[v])) for u, v in G.edges} == edges
+    ]
+
+
+def relabelled_mask(G: UndirectedGraph, p: Sequence[int], mask: int) -> int:
+    """The mask of the orientation ``mask`` with every arc u->v replaced by
+    p(u)->p(v), read off the built orientation."""
+    image = 0
+    for u, v in orient(G, mask).arcs:
+        if p[u] > p[v]:
+            image |= 1 << G.edge_index(p[u], p[v])
+    return image
+
+
+def canonical_masks(G: UndirectedGraph) -> list[int]:
+    """The masks that are the least of their orbit under all of Aut(G) and
+    reversal, by relabelling each mask with every automorphism."""
+    full = (1 << G.m) - 1
+    auts = automorphisms_by_permutation(G)
+    return [
+        mask for mask in range(1 << max(G.m - 1, 0))
+        if all(min(x, x ^ full) >= mask for x in (relabelled_mask(G, p, mask) for p in auts))
+    ]
+
+
+def scan_work(G: UndirectedGraph) -> tuple[list[int], ...]:
+    """The masks the spectrum scan of connected G (with an edge) looks up,
+    forces, tests for extremality only, searches, and builds full rows for,
+    from the brute values of the earlier masks.
+
+    Only the least mask of each orbit under Aut(G) and reversal is looked
+    up: the others have the value of a smaller mask.  With every value of
+    the earlier masks known, a mask is forced only when its sources and
+    sinks (or n - 1 on a complete graph) leave room below the least t with
+    [t, n] all seen.  When that bound leaves room only for mag = n, the
+    extremal test alone decides; otherwise the mask is searched only when
+    its forced set is not all of V and [its lower bound, n - 1] is not all
+    seen.  A search builds rows beyond its forced set F only when F does
+    not cover and [|F| + 1, n - 1] is not all seen: otherwise it stops
+    right after F alone.
+    """
+    canonical = canonical_masks(G)
+    floor = G.n - 1 if G.m == G.n * (G.n - 1) // 2 else 2
+    forced_masks, extremal, searched, completed, seen = [], [], [], [], set()
+    for mask in canonical:
+        g = orient(G, mask)
+        top = G.n + 1
+        while top - 1 in seen:
+            top -= 1
+        sources, sinks = g.sources_and_sinks()
+        ends = max(floor, len(sources | sinks))
+        if ends < top:
+            forced_masks.append(mask)
+            forced = forced_vertices(g).vertices
+            if set(range(ends, G.n)) <= seen:
+                extremal.append(mask)
+            elif len(forced) < G.n and not set(range(mag_lower_bound(g, forced), G.n)) <= seen:
+                searched.append(mask)
+                if not is_mag_set(g, forced)[0] and not set(range(len(forced) + 1, G.n)) <= seen:
+                    completed.append(mask)
+        seen.add(min_mag_set(g).size)
+    return canonical, forced_masks, extremal, searched, completed
 
 
 def all_oriented_graphs(n: int):

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from magsets import parse_edge_list
 from magsets.cli import build_parser, main
+
+from helpers import scan_work
 
 C6_UNDIRECTED = "undirected 6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n"
 P4_DIRECTED = "directed 4 3\n0 1\n1 2\n2 3\n"
@@ -64,9 +67,15 @@ def test_spectrum_command(capsys, monkeypatch):
     assert report["result"]["gap"] == 4
     assert len(report["result"]["witness_min"]) == 6
     assert report["result"]["complete"] is True
-    # the scan's work: every mask is scanned, one needs no search
+    # the scan's work: every mask is scanned, but only the least of each
+    # orbit under the 12 automorphisms of C6 and reversal is looked at, and
+    # of those one needs no search
+    canonical, forced, _, searched, completed = scan_work(parse_edge_list(C6_UNDIRECTED))
     assert report["stats"] == {
-        "masks_scanned": 32, "masks_forced": 32, "masks_searched": 31, "full_matrices": 16,
+        "masks_scanned": 32, "masks_symmetric": 32 - len(canonical),
+        "masks_forced": len(forced), "masks_searched": len(searched), "full_matrices": len(completed),
+    } == {
+        "masks_scanned": 32, "masks_symmetric": 24, "masks_forced": 8, "masks_searched": 7, "full_matrices": 4,
     }
     # a stopped scan is marked: its mag-minus 5 is not the full scan's 4
     text = "undirected 6 6\n0 1\n1 2\n1 3\n1 5\n2 4\n2 5\n"

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from magsets import (
+    BadParamError,
     InvalidInstanceError,
     Nae3SatInstance,
     UndirectedGraph,
@@ -91,6 +92,14 @@ def test_nae_unsatisfiable_oracle():
     )
     assert not brute_nae3sat(fano)
     assert brute_nae3sat(Nae3SatInstance(3, (frozenset({0, 1, 2}),)))
+
+
+def test_nae_negative_edge_cap_rejected():
+    # a negative cap is a bad parameter, not a cap that the gadget exceeds
+    phi = Nae3SatInstance(3, (frozenset({0, 1, 2}),))
+    with pytest.raises(BadParamError):
+        verify_nae_reduction(phi, max_edges=-1)
+    assert verify_nae_reduction(phi, max_edges=6)
 
 
 def test_nae_requires_all_variables_used():

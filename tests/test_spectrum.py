@@ -27,7 +27,15 @@ from magsets import (
 from magsets.families import construction_gj
 from magsets.monitoring import _neighbourhoods
 
-from helpers import brute_spectrum, random_connected_undirected, random_tree
+from helpers import (
+    automorphisms_by_permutation,
+    brute_spectrum,
+    canonical_masks,
+    random_connected_undirected,
+    random_tree,
+    relabelled_mask,
+    scan_work,
+)
 
 # the modules; ``magsets.spectrum`` is the function
 scan = importlib.import_module("magsets.spectrum")
@@ -40,6 +48,18 @@ def undirected_cycle(n):
 
 def undirected_path(n):
     return UndirectedGraph(n, tuple((i, i + 1) for i in range(n - 1)))
+
+
+def complete_graph(n):
+    return UndirectedGraph(n, tuple(combinations(range(n), 2)))
+
+
+def star(leaves):
+    return UndirectedGraph(leaves + 1, tuple((0, v) for v in range(1, leaves + 1)))
+
+
+def complete_bipartite(a, b):
+    return UndirectedGraph(a + b, tuple((u, a + v) for u in range(a) for v in range(b)))
 
 
 def test_orient_mask_semantics():
@@ -117,6 +137,9 @@ def test_early_exit_flags():
     G = UndirectedGraph(6, ((0, 1), (0, 2), (1, 4), (2, 3), (2, 4), (2, 5), (3, 5)))
     sp = spectrum(G, stop_at_two=True)
     assert (sp.mag_minus, sp.witness_min) == (2, spectrum(G).witness_min) == (2, 37)
+    # and counts the masks up to its stop
+    looked_up = [mask for mask in canonical_masks(G) if mask <= 37]
+    assert (sp.counts["masks_scanned"], sp.counts["masks_symmetric"]) == (38, 38 - len(looked_up))
     # a stopped scan says so; the full one gives the mag-minus it did not reach
     G = UndirectedGraph(6, ((0, 1), (1, 2), (1, 3), (1, 5), (2, 4), (2, 5)))
     sp = spectrum(G, stop_at_n=True)
@@ -139,6 +162,95 @@ def test_mag_plus_at_least_n():
     # odd cycles never do
     assert not mag_plus_at_least_n(undirected_cycle(5))
     assert not mag_plus_at_least_n(undirected_cycle(7))
+    # a negative cap is a bad parameter, also where no mask is scanned
+    for G in (undirected_cycle(6), undirected_cycle(5)):
+        with pytest.raises(BadParamError):
+            mag_plus_at_least_n(G, max_edges=-1)
+
+
+def degree_sorted_connected_graphs(n):
+    """Every connected graph on vertices 0..n-1 whose degrees do not
+    increase with the vertex number: a labelling of each isomorphism class."""
+    pairs = list(combinations(range(n), 2))
+    for bits in range(1 << len(pairs)):
+        edges = [e for i, e in enumerate(pairs) if bits >> i & 1]
+        degree = [0] * n
+        for u, v in edges:
+            degree[u] += 1
+            degree[v] += 1
+        if degree == sorted(degree, reverse=True):
+            G = UndirectedGraph(n, tuple(edges))
+            if G.is_connected():
+                yield G
+
+
+def test_mag_plus_at_least_n_matches_every_mask_loop():
+    # one mask per orbit decides the extremal test as the loop over every
+    # mask with the top bit clear did, on every connected graph with n <= 6
+    graphs = [G for n in range(2, 7) for G in degree_sorted_connected_graphs(n)]
+    assert len(graphs) == 860
+    for G in graphs:
+        lookup = scan._neighbourhood_lookup(G)
+        every_mask = any(scan._first_unbypassed(*lookup(mask)) is None for mask in range(1 << (G.m - 1)))
+        assert mag_plus_at_least_n(G) == every_mask, G.edges
+
+
+PETERSEN = UndirectedGraph(10, (
+    (0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
+    (5, 7), (7, 9), (6, 9), (6, 8), (5, 8),
+))
+
+
+def preserves_edges(G, p):
+    return {(min(p[u], p[v]), max(p[u], p[v])) for u, v in G.edges} == set(G.edges)
+
+
+def test_automorphisms_preserve_edges():
+    for n in range(3, 13):
+        found = list(scan._automorphisms(undirected_cycle(n)))
+        assert len(set(found)) == len(found) == 2 * n
+        assert all(preserves_edges(undirected_cycle(n), p) for p in found)
+    rng = random.Random(17)
+    graphs = [complete_graph(4), complete_bipartite(2, 3), star(4), undirected_path(5)] + [
+        random_connected_undirected(rng, rng.randint(2, 6), extra=rng.randint(0, 4)) for _ in range(20)
+    ]
+    for G in graphs:
+        found = list(scan._automorphisms(G))
+        assert len(set(found)) == len(found)
+        assert all(preserves_edges(G, p) for p in found)
+        assert set(found) == set(automorphisms_by_permutation(G))
+    found = list(scan._automorphisms(PETERSEN))
+    assert len(found) == 120 and all(preserves_edges(PETERSEN, p) for p in found)
+
+
+@pytest.mark.parametrize("G", [
+    undirected_cycle(3),
+    undirected_cycle(6),
+    undirected_cycle(7),
+    complete_graph(4),
+    complete_bipartite(2, 3),
+    complete_bipartite(3, 3),
+    star(5),
+    undirected_path(6),
+    UndirectedGraph(6, ((0, 1), (1, 2), (1, 3), (1, 5), (2, 4), (2, 5))),
+], ids=["C3", "C6", "C7", "K4", "K23", "K33", "star5", "P6", "n6"])
+def test_canonical_masks_count_the_orbits(G):
+    # Burnside: the orbits of Aut(G) x reversal on the 2^m masks number the
+    # average count of masks an element fixes.  With all of Aut(G) kept, the
+    # scan looks up exactly one mask per orbit, its least
+    auts = automorphisms_by_permutation(G)
+    assert len(auts) <= scan._MAX_SYMMETRIES + 1
+    full = (1 << G.m) - 1
+    fixed = 0
+    for p in auts:
+        for mask in range(1 << G.m):
+            image = relabelled_mask(G, p, mask)
+            fixed += (image == mask) + (image ^ full == mask)
+    orbits, rest = divmod(fixed, 2 * len(auts))
+    assert rest == 0
+    canonical = list(scan._canonical_masks(scan._mask_symmetries(G), G.m, 0, 1 << (G.m - 1)))
+    assert len(canonical) == orbits
+    assert canonical == canonical_masks(G)
 
 
 def test_construction_gap():
@@ -147,10 +259,6 @@ def test_construction_gap():
         G = construction_gj(j)
         sp = spectrum(G)
         assert sp.mag_minus == j + 3
-
-
-def complete_graph(n):
-    return UndirectedGraph(n, tuple(combinations(range(n), 2)))
 
 
 @st.composite
@@ -170,11 +278,22 @@ def connected_graphs(draw, max_n=7, max_m=9):
 @example(complete_graph(3))
 @example(complete_graph(4))
 @example(complete_graph(5))
-@example(UndirectedGraph(6, tuple((0, v) for v in range(1, 6))))
+@example(star(5))
+@example(star(8))  # |Aut| = 8! > the 128 kept
+@example(complete_bipartite(2, 3))
+@example(undirected_cycle(5))
+@example(undirected_cycle(6))
+@example(undirected_cycle(7))
 @example(undirected_cycle(8))
 def test_spectrum_equals_brute_scan(G):
+    # values and witnesses, with 1 and 2 workers: a pool chunk skips a mask
+    # whose least orbit mate lies in another chunk
+    import concurrent.futures
+
     want = brute_spectrum(G)
-    assert spectrum(G) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        assert spectrum(G) == spectrum(G, threads=2) == want
     # a stop fires on a new value, so the extreme it stops at and that
     # extreme's witness are the full scan's
     two = spectrum(G, stop_at_two=True)
@@ -197,34 +316,10 @@ def test_spectrum_equals_brute_scan(G):
     UndirectedGraph(6, ((0, 1), (1, 2), (1, 3), (1, 5), (2, 4), (2, 5))),
 ], ids=["C5", "C6", "K4", "star", "n6"])
 def test_scan_works_only_on_masks_that_could_add_a_value(G, monkeypatch):
-    # With every value of the earlier masks known, a mask is forced only
-    # when its sources and sinks (or n - 1 on a complete graph) leave room
-    # below the least t with [t, n] all seen.  When that bound leaves room
-    # only for mag = n, the extremal test alone decides; otherwise the mask
-    # is searched only when its forced set is not all of V and [its lower
-    # bound, n - 1] is not all seen.  A search builds rows beyond its
-    # forced set F only when F does not cover and [|F| + 1, n - 1] is not
-    # all seen: otherwise it stops right after F alone.
+    # the masks looked up are the least of their orbits, and those worked
+    # on are the ones whose value could be new (`helpers.scan_work`)
     total = 1 << (G.m - 1)
-    floor = G.n - 1 if G.m == G.n * (G.n - 1) // 2 else 2
-    want_forced, want_extremal, want_searched, want_completed, seen = [], [], [], [], set()
-    for mask in range(total):
-        g = orient(G, mask)
-        top = G.n + 1
-        while top - 1 in seen:
-            top -= 1
-        sources, sinks = g.sources_and_sinks()
-        ends = max(floor, len(sources | sinks))
-        if ends < top:
-            want_forced.append(mask)
-            forced = forced_vertices(g).vertices
-            if set(range(ends, G.n)) <= seen:
-                want_extremal.append(mask)
-            elif len(forced) < G.n and not set(range(mag_lower_bound(g, forced), G.n)) <= seen:
-                want_searched.append(mask)
-                if not is_mag_set(g, forced)[0] and not set(range(len(forced) + 1, G.n)) <= seen:
-                    want_completed.append(mask)
-        seen.add(min_mag_set(g).size)
+    canonical, want_forced, want_extremal, want_searched, want_completed = scan_work(G)
     looked_up, forced, extremal, searched, completed = [], [], [], [], []
 
     def record_lookup(G):
@@ -261,12 +356,13 @@ def test_scan_works_only_on_masks_that_could_add_a_value(G, monkeypatch):
     monkeypatch.setattr(scan, "orient", record_orient)
     monkeypatch.setattr(solver, "monitor_matrix", record_matrix)
     sp = spectrum(G)
-    assert looked_up == list(range(total))
+    assert looked_up == canonical
     assert (forced, extremal) == (want_forced, want_extremal)
     assert (searched, completed) == (want_searched, want_completed)
     assert len(searched) < total
     assert sp.counts == {
         "masks_scanned": total,
+        "masks_symmetric": total - len(canonical),
         "masks_forced": len(forced),
         "masks_searched": len(searched),
         "full_matrices": len(completed),
@@ -388,12 +484,15 @@ def test_chunk_counts_are_summed(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     G = undirected_cycle(8)
     cfg = SolverConfig()
-    parts = [scan._scan_masks(G, lo, lo + 32, cfg)[2] for lo in range(0, 128, 32)]
+    symmetries = scan._mask_symmetries(G)
+    parts = [scan._scan_masks(G, symmetries, lo, lo + 32, cfg)[2] for lo in range(0, 128, 32)]
     pooled = spectrum(G, threads=2).counts
     assert pooled == {key: sum(part[key] for part in parts) for key in parts[0]}
     assert pooled["masks_scanned"] == 128
     serial = spectrum(G).counts
     assert serial["masks_scanned"] == 128 and serial["masks_searched"] <= pooled["masks_searched"]
+    # which masks are the least of their orbits does not depend on the chunks
+    assert serial["masks_symmetric"] == pooled["masks_symmetric"] == 128 - len(canonical_masks(G))
 
 
 def test_neighbourhood_lookup_matches_orientations():

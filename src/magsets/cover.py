@@ -2,7 +2,9 @@
 
 Given a bitmask of targets per unordered vertex pair, find the smallest
 vertex set M such that the union of the masks of pairs inside M covers
-everything.  Two strategies:
+everything.  A problem holds the masks as one symmetric per-vertex table,
+``rows[x][y]`` the mask of pair {x, y}, which the monitoring kernel builds
+straight from its rows.  Two strategies:
 
 * cardinality sweep -- enumerate all supersets of the forced set of size
   k, k+1, ... with incremental coverage; best when the residual vertex
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import BadParamError
@@ -51,18 +52,24 @@ def pair_rank(n: int, x: int, y: int) -> int:
 
 @dataclass(frozen=True)
 class CoverProblem:
-    """``pair_masks[pair_rank(n, x, y)]`` is the target mask of pair {x, y}."""
+    """``rows[x][y]`` is the target mask of pair {x, y}: a symmetric n x n
+    table with a zero diagonal."""
 
     n: int
     full_mask: int
-    pair_masks: Sequence[int]
+    rows: Sequence[Sequence[int]]
     forced: frozenset[int] = frozenset()
     lower_bound: int = 0
 
-    @cached_property
-    def rows(self) -> list[list[int]]:
-        """:func:`pair_rows` of the pair masks, built once per problem."""
-        return pair_rows(self.n, self.pair_masks)
+    @property
+    def pair_masks(self) -> list[int]:
+        """The masks of the pairs x < y in :func:`pair_rank` order."""
+        return upper_triangle(self.rows)
+
+
+def upper_triangle(rows: Sequence[Sequence[int]]) -> list[int]:
+    """``rows[x][y]`` for every pair x < y, in :func:`pair_rank` order."""
+    return [mask for x, row in enumerate(rows) for mask in row[x + 1 :]]
 
 
 @dataclass
@@ -90,26 +97,14 @@ class _Budget:
         return self.left >= 0
 
 
-def pair_rows(n: int, pair_masks: Sequence[int]) -> list[list[int]]:
-    """Per-vertex lookup: ``rows[v][c]`` is the mask of pair {v, c}."""
-    rows = [[0] * n for _ in range(n)]
-    r = 0
-    for x in range(n):
-        row_x = rows[x]
-        for y in range(x + 1, n):
-            row_x[y] = rows[y][x] = pair_masks[r]
-            r += 1
-    return rows
-
-
 def coverage_of(problem: CoverProblem, vertices: tuple[int, ...] | list[int]) -> int:
-    pm, n = problem.pair_masks, problem.n
+    rows = problem.rows
     cov = 0
     vs = sorted(vertices)
     for i, x in enumerate(vs):
-        base = pair_rank(n, x, x + 1)
+        row_x = rows[x]
         for y in vs[i + 1 :]:
-            cov |= pm[base + y - x - 1]
+            cov |= row_x[y]
     return cov
 
 
@@ -231,9 +226,10 @@ def solve_cover_branch_bound(
         return CoverSolution(len(forced), forced, True, 1, len(forced))  # the root is a cover
 
     rows = problem.rows
+    pair_masks = problem.pair_masks
     # the most-constrained uncovered target is the first uncovered one in
     # this order: fewest admissible pairs, ties to the lowest index
-    counts = _bit_counts(problem.pair_masks, full.bit_length())
+    counts = _bit_counts(pair_masks, full.bit_length())
     order = [1 << t for t in sorted(range(len(counts)), key=lambda t: (counts[t], t))]
     keys = [(x, y) for x in range(n) for y in range(x + 1, n)]
     admissible: dict[int, list[tuple[int, int]]] = {}  # target bit -> its pairs, in lex order
@@ -258,8 +254,7 @@ def solve_cover_branch_bound(
                 break
         pick_pairs = admissible.get(bit)
         if pick_pairs is None:
-            pm = problem.pair_masks
-            pick_pairs = admissible[bit] = [key for key, mk in zip(keys, pm) if mk & bit]
+            pick_pairs = admissible[bit] = [key for key, mk in zip(keys, pair_masks) if mk & bit]
         if k + 2 == limit:
             # every child within the bound adds one vertex and is a leaf:
             # count and test each here, and stop at the first cover, which

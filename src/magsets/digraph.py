@@ -146,7 +146,8 @@ class OrientedGraph:
         return _components(self.n, [(u, v) for u, v in self.arcs])
 
     def is_weakly_connected(self) -> bool:
-        return len(self.components()) <= 1
+        # fewer than n - 1 arcs cannot connect n vertices: no lists for a huge n
+        return self.m >= self.n - 1 and len(self.components()) <= 1
 
     def underlying(self) -> "UndirectedGraph":
         """Forget arc directions."""
@@ -232,7 +233,8 @@ class UndirectedGraph:
         return _components(self.n, list(self.edges))
 
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        # fewer than n - 1 edges cannot connect n vertices: no lists for a huge n
+        return self.m >= self.n - 1 and len(self.components()) <= 1
 
     def bipartition(self) -> Optional[tuple[frozenset[int], frozenset[int]]]:
         """A 2-coloring (A, B) with every edge crossing, or None.

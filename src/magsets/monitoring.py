@@ -10,7 +10,8 @@ shortest x->y path; over the BFS levels from x it satisfies
 
 the recurrence behind Brandes' betweenness algorithm.  The kernel keeps
 N_x(y) as an int bitset over arc indices, so one BFS per source builds a
-whole row, and the mask of the pair {x, y} is N_x(y) | N_y(x).  The
+whole row, and the mask of the pair {x, y} is N_x(y) | N_y(x): the rows
+and their transpose give the cover engine's per-vertex pair table.  The
 undirected (MEG) relation is the same kernel with each edge reachable from
 both ends under one shared bit.  The path-counting test
 (`monitors_directed_by_counting`) is kept as an independent cross-check.
@@ -22,7 +23,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .cover import pair_rank
+from .cover import pair_rank, upper_triangle
 from .digraph import UNREACHABLE, OrientedGraph, UndirectedGraph
 from .errors import DisconnectedInputError, EqualVerticesError, OutOfRangeError
 
@@ -67,11 +68,16 @@ def _sole_route_row(adj: LinkAdjacency, x: int) -> list[int]:
     return need
 
 
-def _pair_masks(rows: Sequence[Sequence[int]]) -> list[int]:
-    """N_x(y) | N_y(x) for every pair x < y, in pair-rank order, from the
-    rows N_x of every source x."""
+def _pair_table(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """N_x(y) | N_y(x) for every x and y (0 when x = y), from the rows N_x
+    of every source x: the symmetric table a :class:`CoverProblem` holds."""
     n = len(rows)
-    return [rows[x][y] | rows[y][x] for x in range(n) for y in range(x + 1, n)]
+    table = [[0] * n for _ in range(n)]
+    for x, row_x in enumerate(rows):
+        table_x = table[x]
+        for y in range(x + 1, n):
+            table_x[y] = table[y][x] = row_x[y] | rows[y][x]
+    return table
 
 
 def _edge_adjacency(G: UndirectedGraph) -> list[list[tuple[int, int]]]:
@@ -148,21 +154,19 @@ class MonitorMatrix:
 Rows = list[Optional[list[int]]]
 
 
-def _route_rows(g: OrientedGraph, sources: Iterable[int], rows: Rows) -> Rows:
-    """Build into ``rows`` the kernel row N_x of each source x it lacks, one
-    BFS each, and return it."""
-    adj = g.out_links
+def _route_rows(adj: LinkAdjacency, sources: Iterable[int], rows: Rows) -> Rows:
+    """Build into ``rows`` the kernel row N_x over the out-links ``adj`` of
+    each source x it lacks, one BFS each, and return it."""
     for x in sources:
         if rows[x] is None:
             rows[x] = _sole_route_row(adj, x)
     return rows
 
 
-def monitor_matrix(g: OrientedGraph, rows: Optional[Rows] = None) -> MonitorMatrix:
-    """Build the complete monitoring matrix: one kernel BFS per source.  The
-    rows already in ``rows`` are reused, and the others are built into it."""
-    rows = _route_rows(g, range(g.n), [None] * g.n if rows is None else rows)
-    return MonitorMatrix(g.n, g.m, tuple(_pair_masks(rows)))
+def monitor_matrix(g: OrientedGraph) -> MonitorMatrix:
+    """Build the complete monitoring matrix: one kernel BFS per source."""
+    rows = _route_rows(g.out_links, range(g.n), [None] * g.n)
+    return MonitorMatrix(g.n, g.m, tuple(upper_triangle(_pair_table(rows))))
 
 
 def is_mag_set(
@@ -256,10 +260,11 @@ def _bypass_reason(
 
 
 def _forced_reasons(
-    ins: Masks, outs: Masks, in_list: Lists, out_list: Lists
+    ins: Masks, outs: Masks, in_list: Lists, out_list: Lists, limit: Optional[int] = None
 ) -> dict[int, tuple[ForcedRule, Optional[int]]]:
     """The forcing rules over per-vertex neighbourhoods (as built by
-    :func:`_neighbourhoods`): per forced vertex, its rule and witness."""
+    :func:`_neighbourhoods`): per forced vertex, its rule and witness.
+    Stops once ``limit`` vertices are forced, if given."""
     keys = list(zip(ins, outs))
     twins: dict[tuple[int, int], list[int]] = {}
     if len(set(keys)) < len(keys):  # some vertices share both neighbourhoods
@@ -268,17 +273,18 @@ def _forced_reasons(
     reasons: dict[int, tuple[ForcedRule, Optional[int]]] = {}
     for v, key in enumerate(keys):
         if not key[0]:
-            reasons[v] = _SOURCE
+            reason = _SOURCE
         elif not key[1]:
-            reasons[v] = _SINK
+            reason = _SINK
         else:
             group = twins.get(key, ())
             if len(group) > 1:
-                reasons[v] = (ForcedRule.TWIN, group[1] if group[0] == v else group[0])
-            else:
-                reason = _bypass_reason(ins, outs, in_list, out_list, v)
-                if reason is not None:
-                    reasons[v] = reason
+                reason = (ForcedRule.TWIN, group[1] if group[0] == v else group[0])
+            elif (reason := _bypass_reason(ins, outs, in_list, out_list, v)) is None:
+                continue
+        reasons[v] = reason
+        if len(reasons) == limit:
+            break
     return reasons
 
 
@@ -331,11 +337,15 @@ def edge_monitors_undirected(G: UndirectedGraph, x: int, y: int, e: int) -> bool
     return bool(_sole_route_row(_edge_adjacency(G), x)[y] >> e & 1)
 
 
+def _edge_pair_table(G: UndirectedGraph) -> list[list[int]]:
+    adj = _edge_adjacency(G)
+    return _pair_table([_sole_route_row(adj, x) for x in range(G.n)])
+
+
 def undirected_monitor_pair_masks(G: UndirectedGraph) -> list[int]:
     """Per unordered pair, in pair-rank order, the bitmask of edges it
     monitors."""
-    adj = _edge_adjacency(G)
-    return _pair_masks([_sole_route_row(adj, x) for x in range(G.n)])
+    return upper_triangle(_edge_pair_table(G))
 
 
 def min_meg_set(G: UndirectedGraph, max_nodes: int = 10_000_000) -> MegResult:
@@ -355,7 +365,7 @@ def min_meg_set(G: UndirectedGraph, max_nodes: int = 10_000_000) -> MegResult:
     problem = CoverProblem(
         n=G.n,
         full_mask=(1 << G.m) - 1,
-        pair_masks=undirected_monitor_pair_masks(G),
+        rows=_edge_pair_table(G),
         forced=forced,
         lower_bound=max(2, len(forced)),
     )

@@ -10,10 +10,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .cover import CoverProblem, Strategy, greedy_cover, solve_cover, sweeps
+from .cover import CoverProblem, CoverSolution, Strategy, greedy_cover, solve_cover, sweeps
 from .digraph import OrientedGraph
 from .errors import BadParamError
-from .monitoring import Rows, _route_rows, forced_vertices, monitor_matrix
+from .monitoring import LinkAdjacency, Rows, _pair_table, _route_rows, forced_vertices
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class MagResult:
         """Per arc, the lexicographically first witness pair monitoring it;
         built on first access from the witness vertices' kernel rows."""
         g = self._graph
-        rows = _route_rows(g, self.witness, [None] * g.n if self._rows is None else self._rows)
+        rows = _route_rows(g.out_links, self.witness, self._rows or [None] * g.n)
         cert: dict[int, tuple[int, int]] = {}
         left = (1 << g.m) - 1
         members = sorted(self.witness)
@@ -70,8 +70,8 @@ def greedy_mag_set(g: OrientedGraph) -> frozenset[int]:
     most new arcs (ties to the lowest index)."""
     if g.m == 0:
         return frozenset()
-    matrix = monitor_matrix(g)
-    problem = CoverProblem(g.n, (1 << g.m) - 1, matrix.pair_arcs, forced_vertices(g).vertices)
+    rows = _route_rows(g.out_links, range(g.n), [None] * g.n)
+    problem = CoverProblem(g.n, (1 << g.m) - 1, _pair_table(rows), forced_vertices(g).vertices)
     return frozenset(greedy_cover(problem))
 
 
@@ -89,18 +89,20 @@ def mag_lower_bound(g: OrientedGraph, forced: Optional[frozenset[int]] = None) -
 
 
 def _solve_connected(
-    g: OrientedGraph, cfg: SolverConfig, forced: frozenset[int], stop: Optional[int] = None
-) -> MagResult:
-    """Bound and search from the caller's forced set F, which is in every
-    MAG-set, with ``stop`` as in :func:`solve_cover`.  The search's first
-    level is F alone, which needs only F's own kernel rows, so those are
-    built first: when the pairs inside F cover every arc, F is the optimum,
-    and when a sweep would give up right after F, nothing more is needed.
-    Otherwise the matrix is completed from them and searched; the greedy
+    n: int, m: int, adj: LinkAdjacency, cfg: SolverConfig, forced: frozenset[int], lower: int,
+    stop: Optional[int] = None,
+) -> tuple[CoverSolution, Rows]:
+    """The cover solution, and the kernel rows built, of the connected graph
+    on n vertices and m arcs with out-links ``adj``: bound by ``lower`` and
+    searched from the caller's forced set F, which is in every MAG-set, with
+    ``stop`` as in :func:`solve_cover`.  The search's first level is F
+    alone, which needs only F's own kernel rows, so those are built first:
+    when the pairs inside F cover every arc, F is the optimum, and when a
+    sweep would give up right after F, nothing more is needed.  Otherwise
+    the rows are completed into the pair table and searched; the greedy
     cover is built only if the search asks for it."""
-    full = (1 << g.m) - 1
-    lower = mag_lower_bound(g, forced)
-    rows = _route_rows(g, forced, [None] * g.n)
+    full = (1 << m) - 1
+    rows = _route_rows(adj, forced, [None] * n)
     k = len(forced)
     if k >= lower:
         covered = 0
@@ -108,20 +110,15 @@ def _solve_connected(
             row_x = rows[x]
             for y in forced:
                 covered |= row_x[y]
-        sweep = sweeps(g.n, k, cfg.strategy)
+        sweep = sweeps(n, k, cfg.strategy)
         if covered == full:
             # the searches' own count for a root that covers
-            witness = tuple(sorted(forced))
-            return MagResult(k, witness, forced, True, 0 if sweep else 1, k, _graph=g, _rows=rows)
+            return CoverSolution(k, tuple(sorted(forced)), True, 0 if sweep else 1, k), rows
         if sweep and stop == k + 1:
             # the sweep's result when it gives up after one node, F itself
-            return MagResult(g.n, tuple(range(g.n)), forced, False, 1, stop, _graph=g, _rows=rows)
-    problem = CoverProblem(g.n, full, monitor_matrix(g, rows).pair_arcs, forced, lower)
-    solution = solve_cover(problem, max_nodes=cfg.max_nodes, strategy=cfg.strategy, stop=stop)
-    return MagResult(
-        solution.size, solution.witness, forced, solution.optimal, solution.nodes, solution.lower,
-        _graph=g, _rows=rows,
-    )
+            return CoverSolution(n, tuple(range(n)), False, 1, stop), rows
+    problem = CoverProblem(n, full, _pair_table(_route_rows(adj, range(n), rows)), forced, lower)
+    return solve_cover(problem, max_nodes=cfg.max_nodes, strategy=cfg.strategy, stop=stop), rows
 
 
 def min_mag_set(g: OrientedGraph, cfg: Optional[SolverConfig] = None) -> MagResult:
@@ -132,7 +129,10 @@ def min_mag_set(g: OrientedGraph, cfg: Optional[SolverConfig] = None) -> MagResu
         return MagResult(0, (), frozenset(), True, 0, 0, _graph=g)
     comps = g.components()
     if len(comps) == 1:
-        return _solve_connected(g, cfg, forced_vertices(g).vertices)
+        forced = forced_vertices(g).vertices
+        lower = mag_lower_bound(g, forced)
+        sol, rows = _solve_connected(g.n, g.m, g.out_links, cfg, forced, lower)
+        return MagResult(sol.size, sol.witness, forced, sol.optimal, sol.nodes, sol.lower, _graph=g, _rows=rows)
     # solve per component and merge through the vertex relabeling; pairs
     # across components monitor nothing, so the coverage of the merged
     # witness comes from the whole graph's kernel rows

@@ -14,19 +14,20 @@ so keeping only some of the automorphisms keeps it exact.
 
 The output is only the set of values and the witnesses, so each mask costs
 only what can decide whether its value could be new (the tiers of
-:func:`_scan_masks`).  A mask skipped or given up on has its value in a
-range whose every value has an earlier witness, so the values, extremes
-and witnesses are those of a full scan.  This holds per pool chunk too:
-a chunk skips by value only on its own earlier masks, by symmetry only a
-mask whose least orbit mate some chunk scans, and the merge keeps mask
-order.
+:func:`_scan_masks`).  No orientation is built: each tier, the search
+included, reads per-graph tables indexed by the mask.  A mask skipped or
+given up on has its value in a range whose every value has an earlier
+witness, so the values, extremes and witnesses are those of a full scan.
+This holds per pool chunk too: a chunk skips by value only on its own
+earlier masks, by symmetry only a mask whose least orbit mate some chunk
+scans, and the merge keeps mask order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .digraph import OrientedGraph, UndirectedGraph, _bfs
 from .errors import (
@@ -97,26 +98,42 @@ def _automorphisms(G: UndirectedGraph) -> Iterator[tuple[int, ...]]:
     backtracking over the vertices in breadth-first order from vertex 0: a
     vertex goes only to an unused vertex of its degree whose neighbours
     among the used vertices are the images of its placed neighbours (so a
-    neighbour of the first one's image)."""
-    nbs = G.neighbors
+    neighbour of the first one's image).  The search keeps a stack with,
+    per placed vertex, its untried images and the vertices used before it."""
+    n, nbs = G.n, G.neighbors
+    if not n:
+        yield ()
+        return
     adj = [sum(1 << w for w in nb) for nb in nbs]
-    order = sorted(range(G.n), key=_bfs(nbs, 0).__getitem__) if G.n else []
+    degree = [len(nb) for nb in nbs]
+    order = sorted(range(n), key=_bfs(nbs, 0).__getitem__)
     rank = {v: k for k, v in enumerate(order)}
-    image = [0] * G.n
-
-    def extend(k: int, used: int) -> Iterator[tuple[int, ...]]:
-        if k == G.n:
+    # per vertex in order, its neighbours placed before it
+    back = [[u for u in nbs[v] if rank[u] < k] for k, v in enumerate(order)]
+    image = [0] * n
+    stack: list[tuple[Iterator[int], int]] = []
+    k = used = 0
+    while True:
+        if k == n:
             yield tuple(image)
+        else:
+            placed = [image[u] for u in back[k]]
+            mask = sum([1 << w for w in placed])
+            d = degree[order[k]]
+            images = [w for w in (nbs[placed[0]] if placed else range(n))
+                      if not used >> w & 1 and adj[w] & used == mask and degree[w] == d]
+            stack.append((iter(images), used))
+        while stack:  # the next untried image on the deepest level that has one
+            untried, used = stack[-1]
+            w = next(untried, None)
+            if w is not None:
+                break
+            stack.pop()
+        else:
             return
-        v = order[k]
-        placed = [image[u] for u in nbs[v] if rank[u] < k]
-        mask = sum(1 << w for w in placed)
-        for w in nbs[placed[0]] if placed else range(G.n):
-            if not used >> w & 1 and adj[w] & used == mask and len(nbs[w]) == len(nbs[v]):
-                image[v] = w
-                yield from extend(k + 1, used | 1 << w)
-
-    return extend(0, 0)
+        k = len(stack)
+        image[order[k - 1]] = w
+        used |= 1 << w
 
 
 def _mask_symmetries(G: UndirectedGraph) -> list[Symmetry]:
@@ -172,29 +189,29 @@ def _canonical_masks(symmetries: Sequence[Symmetry], m: int, lo: int, hi: int) -
 # table over its 2^_CHUNK orientations, so the tables stay small on any degree
 _CHUNK = 8
 
-# per vertex: in-neighbour mask, out-neighbour mask, in- and out-neighbours
-Neighbourhood = tuple[int, int, tuple[int, ...], tuple[int, ...]]
-
 
 def _neighbourhood_lookup(G: UndirectedGraph) -> Callable[[int], Iterator[tuple]]:
     """Per-graph tables giving, for any mask, every vertex's in- and
     out-neighbour masks and lists (increasing, since a vertex's edges in
-    index order lead to increasing neighbours) without building the
-    orientation.  A vertex with several chunks ORs their masks and joins
-    their lists in chunk order."""
+    index order lead to increasing neighbours) and its out-links, the
+    adjacency the monitoring kernel walks (arc index = edge index), without
+    building the orientation.  A vertex with several chunks ORs their masks
+    and joins their lists in chunk order."""
     incident: list[list[tuple[int, int]]] = [[] for _ in range(G.n)]
     for i, (u, v) in enumerate(G.edges):
         incident[u].append((i, v))
         incident[v].append((i, u))
-    first: list[tuple[int, dict[int, Neighbourhood]]] = []
-    rest: list[tuple[int, int, dict[int, Neighbourhood]]] = []
+    # per chunk and pattern: in- and out-neighbour masks, in- and
+    # out-neighbour lists, out-links (head, 1 << arc index)
+    first: list[tuple[int, dict[int, tuple]]] = []
+    rest: list[tuple[int, int, dict[int, tuple]]] = []
     for v, edges in enumerate(incident):
         for c in range(0, max(len(edges), 1), _CHUNK):
             chunk = edges[c : c + _CHUNK]
-            table: dict[int, Neighbourhood] = {}
+            table: dict[int, tuple] = {}
             for pattern in range(1 << len(chunk)):
                 key = in_mask = out_mask = 0
-                in_list, out_list = [], []
+                in_list, out_list, links = [], [], []
                 for j, (i, w) in enumerate(chunk):
                     reversed_ = pattern >> j & 1
                     key |= reversed_ << i
@@ -205,7 +222,8 @@ def _neighbourhood_lookup(G: UndirectedGraph) -> Callable[[int], Iterator[tuple]
                     else:
                         out_mask |= 1 << w
                         out_list.append(w)
-                table[key] = (in_mask, out_mask, tuple(in_list), tuple(out_list))
+                        links.append((w, 1 << i))
+                table[key] = (in_mask, out_mask, tuple(in_list), tuple(out_list), tuple(links))
             chunk_mask = sum(1 << i for i, _ in chunk)
             if c:
                 rest.append((v, chunk_mask, table))
@@ -213,15 +231,40 @@ def _neighbourhood_lookup(G: UndirectedGraph) -> Callable[[int], Iterator[tuple]
                 first.append((chunk_mask, table))
 
     def lookup(mask: int) -> Iterator[tuple]:
-        """(ins, outs, in_list, out_list) of the orientation ``mask``."""
+        """(ins, outs, in_list, out_list, out_links) of the orientation
+        ``mask``."""
         nb = [table[mask & chunk_mask] for chunk_mask, table in first]
         for v, chunk_mask, table in rest:
-            i, o, il, ol = table[mask & chunk_mask]
-            a, b, al, bl = nb[v]
-            nb[v] = (a | i, b | o, al + il, bl + ol)
+            ins, outs, in_list, out_list, links = table[mask & chunk_mask]
+            a, b, c, d, e = nb[v]
+            nb[v] = (a | ins, b | outs, c + in_list, d + out_list, e + links)
         return zip(*nb)
 
     return lookup
+
+
+def _end_count(G: UndirectedGraph) -> Callable[[int], int]:
+    """The number of sources and sinks of any orientation, from one table
+    per chunk of _CHUNK edge bits over the chunk's orientations.  Bit v of
+    an entry is set when v has no in-arc among the chunk's edges, bit n + v
+    when it has no out-arc, so the AND of the chunks' entries has one bit
+    per source and one per sink."""
+    n = G.n
+    tables = []
+    for c in range(0, G.m, _CHUNK):
+        table = [(1 << 2 * n) - 1]
+        for u, w in G.edges[c : c + _CHUNK]:  # the patterns with this edge's bit set follow
+            forward, backward = ~(1 << w | 1 << n + u), ~(1 << u | 1 << n + w)
+            table = [t & forward for t in table] + [t & backward for t in table]
+        tables.append((c, table))
+
+    def count(mask: int) -> int:
+        ends = -1
+        for shift, table in tables:
+            ends &= table[mask >> shift & (1 << _CHUNK) - 1]
+        return ends.bit_count()
+
+    return count
 
 
 def _scan_masks(
@@ -245,15 +288,20 @@ def _scan_masks(
     each tier stops at the first bound that puts the mask's value there:
 
     1. mag is at least the number of sources and sinks (n - 1 on a complete
-       graph), read from per-graph neighbourhood tables with no orientation
-       built: skip when that is at least ``top``.
+       graph), read from per-graph tables with no orientation built: skip
+       when that is at least ``top``.  Only then are the mask's
+       neighbourhoods read, from per-graph tables as well.
     2. The forced set F is all of V exactly when mag = n, that is, when
        every vertex is a source, a sink or bypassed (the extremal
        characterization).  When tier 1 leaves room only for mag = n, that
        test alone decides, stopping at the first vertex that fails it.
        Otherwise mag is in [max(2 or n - 1, |F|), n - 1] unless F = V.
+       Once n has a witness, forcing stops when |F| reaches ``ceil``: the
+       mask is then skipped, whatever the rest of F.
     3. Search, giving up before level ``ceil``: no cover below it puts mag
-       in [ceil, n - 1].  A search out of budget reports the level it
+       in [ceil, n - 1].  The search works from the mask alone, with the
+       out-links from the same tables as the kernel's adjacency: no
+       orientation is built.  A search out of budget reports the level it
        reached as its lower bound, so a pool chunk, which has seen less and
        gives up later, leaves a pending range that the merge judges as the
        serial scan would.
@@ -266,33 +314,34 @@ def _scan_masks(
         # at most one vertex: mag 0, where the connected solve would force it
         return {0: 0}, [], dict(masks_scanned=1, masks_symmetric=0, masks_forced=0,
                                 masks_searched=0, full_matrices=0)
-    lookup = _neighbourhood_lookup(G)
+    lookup, end_count = _neighbourhood_lookup(G), _end_count(G)
     floor = max(2, n - 1) if G.m == n * (n - 1) // 2 else 2  # tournaments: n - 1
     best: dict[int, int] = {}
     pending: list[tuple[int, int, int]] = []
     top, ceil = n + 1, n
+    limit = None  # forcing stops at ``ceil`` once n has a witness
     canonical = forced_count = searched = matrices = 0
     for mask in _canonical_masks(symmetries, G.m, lo, hi):
         canonical += 1
-        ins, outs, in_list, out_list = lookup(mask)
-        low = max(floor, ins.count(0) + outs.count(0))  # the sources and sinks
+        low = max(floor, end_count(mask))
         if low >= top:
             continue
         forced_count += 1
+        ins, outs, in_list, out_list, links = lookup(mask)
         if low >= ceil:
             # only mag = n can be new, and that is the extremal test
             if _first_unbypassed(ins, outs, in_list, out_list) is not None:
                 continue
             size = n
-        elif len(reasons := _forced_reasons(ins, outs, in_list, out_list)) == n:
+        elif len(reasons := _forced_reasons(ins, outs, in_list, out_list, limit)) == n:
             size = n
         else:
             lower = max(floor, len(reasons))
             if ceil <= lower:
                 continue
             searched += 1
-            res = _solve_connected(orient(G, mask), cfg, frozenset(reasons), stop=ceil)
-            matrices += None not in res._rows  # the forced rows did not settle it
+            res, rows = _solve_connected(n, G.m, links, cfg, frozenset(reasons), lower, stop=ceil)
+            matrices += None not in rows  # the forced rows did not settle it
             if not res.optimal:
                 upper = min(res.size, n - 1)
                 if not all(v in best for v in range(res.lower, upper + 1)):
@@ -305,6 +354,8 @@ def _scan_masks(
                 top -= 1
             while ceil - 1 in best:
                 ceil -= 1
+            if top <= n:
+                limit = ceil
             if (stop_at_two and size == 2) or (stop_at_n and size == n):
                 hi = mask + 1
                 break
@@ -389,7 +440,9 @@ def mag_plus_at_least_n(G: UndirectedGraph, max_edges: int = DEFAULT_EDGE_CAP) -
     Otherwise the scan's masks are enumerated, their neighbourhoods read
     from the scan's tables, until one passes the extremal test: every
     vertex a source, a sink, or bypassed.  The test is invariant under
-    reversal and automorphisms, so one mask per orbit decides it.
+    reversal and automorphisms, so one mask per orbit decides it.  The
+    first 2^_SYM_CHUNK masks are tested as they come, and the symmetries
+    are built only when none of them passes.
     """
     if max_edges < 0:
         raise BadParamError(f"the edge cap must be non-negative, got {max_edges}")
@@ -403,5 +456,12 @@ def mag_plus_at_least_n(G: UndirectedGraph, max_edges: int = DEFAULT_EDGE_CAP) -
     if G.m > max_edges:
         raise TooManyEdgesError(f"{G.m} edges exceeds the cap of {max_edges}")
     lookup = _neighbourhood_lookup(G)
-    masks = _canonical_masks(_mask_symmetries(G), G.m, 0, 1 << (G.m - 1))
-    return any(_first_unbypassed(*lookup(mask)) is None for mask in masks)
+
+    def any_extremal(masks: Iterable[int]) -> bool:
+        return any(_first_unbypassed(*islice(lookup(mask), 4)) is None for mask in masks)
+
+    total = 1 << (G.m - 1)
+    head = min(total, 1 << _SYM_CHUNK)
+    if any_extremal(range(head)):
+        return True
+    return total > head and any_extremal(_canonical_masks(_mask_symmetries(G), G.m, head, total))

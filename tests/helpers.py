@@ -18,7 +18,7 @@ from magsets import (
     monitor_matrix,
     orient,
 )
-from magsets.cover import CoverProblem, CoverSolution, _bit_counts, coverage_of, pair_rows
+from magsets.cover import CoverProblem, CoverSolution, _bit_counts, coverage_of
 
 
 def random_oriented(rng: random.Random, n: int, p: float = 0.5) -> OrientedGraph:
@@ -316,6 +316,19 @@ def set_is_extremal(g: OrientedGraph) -> tuple[bool, int | None]:
 # into every node, leaves and childless nodes included.  The library's
 # searches must match them in size, witness, optimality and node count,
 # budget stops included.
+
+
+def pair_rows(n: int, pair_masks: Sequence[int]) -> list[list[int]]:
+    """Per-vertex lookup: ``rows[v][c]`` is the mask of pair {v, c}, from
+    the masks of the pairs in pair-rank order."""
+    rows = [[0] * n for _ in range(n)]
+    r = 0
+    for x in range(n):
+        row_x = rows[x]
+        for y in range(x + 1, n):
+            row_x[y] = rows[y][x] = pair_masks[r]
+            r += 1
+    return rows
 
 
 class _Budget:

@@ -225,6 +225,22 @@ def test_negative_vertex_count_exit_code(capsys, monkeypatch, command, kind):
     assert "vertex count must be non-negative" in err
 
 
+@pytest.mark.parametrize("command, message", [
+    ("spectrum", "spectrum requires a connected graph"),
+    ("meg", "MEG solver requires a connected graph"),
+    ("extremal", "requires a connected graph"),
+])
+def test_huge_edgeless_graph_is_rejected_at_once(capsys, monkeypatch, command, message):
+    # fewer than n - 1 edges cannot connect n vertices, so the connectivity
+    # check answers without allocating per-vertex lists for n = 10^12
+    import time
+
+    started = time.perf_counter()
+    rc, out, err = run(capsys, monkeypatch, [command, "-"], f"undirected {10**12} 0\n")
+    assert time.perf_counter() - started < 1
+    assert rc == 1 and out == "" and message in err
+
+
 # the shared arguments each analysis command reads, and one value for each
 READS = {
     "mag": {"input", "--budget", "--strategy"},

@@ -46,6 +46,7 @@ from magsets.monitoring import undirected_monitor_pair_masks
 import helpers
 from helpers import (
     deletion_pair_masks,
+    pair_rows,
     random_connected_undirected,
     random_oriented,
     set_forced_reasons,
@@ -149,7 +150,8 @@ def test_meg_branch_and_bound_starts_from_all_vertices():
         forced = frozenset(v for v in range(G.n) if G.degree(v) == 1)
         assert G.n - len(forced) > 24
         problem = CoverProblem(
-            G.n, (1 << G.m) - 1, undirected_monitor_pair_masks(G), forced, max(2, len(forced))
+            G.n, (1 << G.m) - 1, pair_rows(G.n, undirected_monitor_pair_masks(G)), forced,
+            max(2, len(forced)),
         )
         expected = solve_cover_branch_bound(problem)
         res = min_meg_set(G)
@@ -314,7 +316,8 @@ def cover_problems(draw) -> CoverProblem:
     assume(g.m > 0)
     forced = forced_vertices(g).vertices if draw(st.booleans()) else frozenset()
     lower = draw(st.sampled_from((0, 2, len(forced))))
-    return CoverProblem(g.n, (1 << g.m) - 1, monitor_matrix(g).pair_arcs, forced, lower)
+    rows = pair_rows(g.n, monitor_matrix(g).pair_arcs)
+    return CoverProblem(g.n, (1 << g.m) - 1, rows, forced, lower)
 
 
 @settings(max_examples=150, deadline=None)

@@ -65,13 +65,14 @@ def test_strategies_agree():
     (Strategy.BRANCH_AND_BOUND, 10_000_000),
 ])
 def test_pair_rows_built_once_per_solve(monkeypatch, strategy, max_nodes):
-    # each case reads the lookup in the search and in the greedy: a search
-    # out of budget falls back on the greedy, branch-and-bound starts from it
-    from magsets import cover
+    # each case reads the pair table in the search and in the greedy: a
+    # search out of budget falls back on the greedy, branch-and-bound starts
+    # from it; the table is built once, from the kernel rows
+    from magsets import solver
 
     calls = []
-    pair_rows = cover.pair_rows
-    monkeypatch.setattr(cover, "pair_rows", lambda *args: calls.append(args) or pair_rows(*args))
+    pair_table = solver._pair_table
+    monkeypatch.setattr(solver, "_pair_table", lambda rows: calls.append(rows) or pair_table(rows))
     g = random_connected_oriented(random.Random(1), 10, p=0.4)
     res = min_mag_set(g, SolverConfig(max_nodes=max_nodes, strategy=strategy))
     assert res.optimal == (max_nodes > 1)

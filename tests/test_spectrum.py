@@ -191,7 +191,8 @@ def test_mag_plus_at_least_n_matches_every_mask_loop():
     assert len(graphs) == 860
     for G in graphs:
         lookup = scan._neighbourhood_lookup(G)
-        every_mask = any(scan._first_unbypassed(*lookup(mask)) is None for mask in range(1 << (G.m - 1)))
+        every_mask = any(scan._first_unbypassed(*list(lookup(mask))[:4]) is None
+                         for mask in range(1 << (G.m - 1)))
         assert mag_plus_at_least_n(G) == every_mask, G.edges
 
 
@@ -316,20 +317,20 @@ def test_spectrum_equals_brute_scan(G):
     UndirectedGraph(6, ((0, 1), (1, 2), (1, 3), (1, 5), (2, 4), (2, 5))),
 ], ids=["C5", "C6", "K4", "star", "n6"])
 def test_scan_works_only_on_masks_that_could_add_a_value(G, monkeypatch):
-    # the masks looked up are the least of their orbits, and those worked
-    # on are the ones whose value could be new (`helpers.scan_work`)
+    # the masks whose sources and sinks are counted are the least of their
+    # orbits, and those worked on are the ones whose value could be new
+    # (`helpers.scan_work`); only those have their neighbourhoods looked up
     total = 1 << (G.m - 1)
     canonical, want_forced, want_extremal, want_searched, want_completed = scan_work(G)
-    looked_up, forced, extremal, searched, completed = [], [], [], [], []
+    counted, looked_up, forced, extremal, searched, completed = [], [], [], [], [], []
+
+    def record_ends(G):
+        count = ends_of(G)
+        return lambda mask: counted.append(mask) or count(mask)
 
     def record_lookup(G):
         lookup = lookup_of(G)
-
-        def recording(mask):
-            looked_up.append(mask)
-            return lookup(mask)
-
-        return recording
+        return lambda mask: looked_up.append(mask) or lookup(mask)
 
     def record_forcing(*neighbourhoods):
         forced.append(looked_up[-1])
@@ -340,23 +341,25 @@ def test_scan_works_only_on_masks_that_could_add_a_value(G, monkeypatch):
         extremal.append(looked_up[-1])
         return extremal_test(*neighbourhoods)
 
-    def record_orient(G, mask):
-        searched.append(mask)
-        return orient(G, mask)
+    def record_solve(*args, **kwargs):
+        searched.append(looked_up[-1])
+        return solve(*args, **kwargs)
 
-    def record_matrix(g, rows=None):
+    def record_table(rows):
         completed.append(searched[-1])
-        return matrix(g, rows)
+        return table(rows)
 
     lookup_of, forcing, extremal_test = scan._neighbourhood_lookup, scan._forced_reasons, scan._first_unbypassed
-    matrix = solver.monitor_matrix
+    ends_of, solve, table = scan._end_count, scan._solve_connected, solver._pair_table
+    monkeypatch.setattr(scan, "_end_count", record_ends)
     monkeypatch.setattr(scan, "_neighbourhood_lookup", record_lookup)
     monkeypatch.setattr(scan, "_forced_reasons", record_forcing)
     monkeypatch.setattr(scan, "_first_unbypassed", record_extremal)
-    monkeypatch.setattr(scan, "orient", record_orient)
-    monkeypatch.setattr(solver, "monitor_matrix", record_matrix)
+    monkeypatch.setattr(scan, "_solve_connected", record_solve)
+    monkeypatch.setattr(solver, "_pair_table", record_table)
     sp = spectrum(G)
-    assert looked_up == canonical
+    assert counted == canonical
+    assert looked_up == forced
     assert (forced, extremal) == (want_forced, want_extremal)
     assert (searched, completed) == (want_searched, want_completed)
     assert len(searched) < total
@@ -445,19 +448,19 @@ def test_level_stop_and_chunk_budget_agree(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     G = UndirectedGraph(6, ((0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (1, 4), (3, 4), (3, 5)))
     solves = []
-    oriented = []
+    looked_up = []
 
-    def record_orient(G, mask):
-        oriented.append(mask)
-        return orient(G, mask)
+    def record_lookup(G):
+        lookup = lookup_of(G)
+        return lambda mask: looked_up.append(mask) or lookup(mask)
 
-    def record_solve(g, cfg, forced, stop=None):
-        res = solve(g, cfg, forced, stop=stop)
-        solves[-1][oriented[-1]] = (stop, res.optimal, res.lower)
-        return res
+    def record_solve(*args, stop=None):
+        res, rows = solve(*args, stop=stop)
+        solves[-1][looked_up[-1]] = (stop, res.optimal, res.lower)
+        return res, rows
 
-    solve = scan._solve_connected
-    monkeypatch.setattr(scan, "orient", record_orient)
+    lookup_of, solve = scan._neighbourhood_lookup, scan._solve_connected
+    monkeypatch.setattr(scan, "_neighbourhood_lookup", record_lookup)
     monkeypatch.setattr(scan, "_solve_connected", record_solve)
     outcomes = []
     for threads in (1, 2):
@@ -497,20 +500,24 @@ def test_chunk_counts_are_summed(monkeypatch):
 
 def test_neighbourhood_lookup_matches_orientations():
     # a vertex with more edges than fit one table (19 at the default edge
-    # cap) gets several; the joined neighbourhoods and the forced set equal
-    # those of the built orientation
+    # cap) gets several; the joined neighbourhoods, the out-links the kernel
+    # walks, the count of sources and sinks (whose tables split the edges,
+    # not a vertex's edges, into chunks) and the forced set equal those of
+    # the built orientation
     rng = random.Random(5)
     star = UndirectedGraph(20, tuple((0, v) for v in range(1, 20)))
     wheel = UndirectedGraph(11, tuple((0, v) for v in range(1, 11)) + tuple(
         (v, v % 10 + 1) for v in range(1, 11)))
     for G in (star, wheel, complete_graph(6)):
-        lookup = scan._neighbourhood_lookup(G)
+        lookup, end_count = scan._neighbourhood_lookup(G), scan._end_count(G)
         for mask in [0, (1 << G.m) - 1] + [rng.randrange(1 << G.m) for _ in range(200)]:
             g = orient(G, mask)
-            ins, outs, in_list, out_list = lookup(mask)
+            ins, outs, in_list, out_list, links = lookup(mask)
             want = _neighbourhoods(g)
             assert (list(ins), list(outs)) == (want[0], want[1])
             assert [list(x) for x in in_list] == want[2] and [list(x) for x in out_list] == want[3]
+            assert [list(x) for x in links] == g.out_links
+            assert end_count(mask) == want[0].count(0) + want[1].count(0)
             assert scan._forced_reasons(ins, outs, in_list, out_list) == forced_vertices(g).reasons
 
 
@@ -521,3 +528,58 @@ def test_mag_plus_at_least_n_equals_extremal_scan(G):
         return  # a lone vertex is vacuously extremal, but its mag is 0
     want = any(is_extremal(orient(G, mask))[0] for mask in range(1 << G.m))
     assert mag_plus_at_least_n(G) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(connected_graphs(max_n=8, max_m=12), st.data())
+def test_solve_from_lookup_equals_solve_of_built_orientation(G, data):
+    # the scan solves an orientation from the lookup's out-links and forced
+    # set; the same solve of the built orientation gives the same search
+    if G.m == 0:
+        return
+    mask = data.draw(st.integers(0, (1 << G.m) - 1))
+    drawn = data.draw(st.integers(1, 60))
+    budget = data.draw(st.sampled_from((1, drawn, SolverConfig().max_nodes)))
+    stop = data.draw(st.sampled_from((None,) + tuple(range(2, G.n + 1))))
+    cfg = SolverConfig(max_nodes=budget)
+    ins, outs, in_list, out_list, links = scan._neighbourhood_lookup(G)(mask)
+    reasons = scan._forced_reasons(ins, outs, in_list, out_list)
+    floor = max(2, G.n - 1) if G.m == G.n * (G.n - 1) // 2 else 2
+    lower = max(floor, len(reasons))
+    got, got_rows = solver._solve_connected(G.n, G.m, links, cfg, frozenset(reasons), lower, stop)
+    g = orient(G, mask)
+    forced = forced_vertices(g).vertices
+    lower = mag_lower_bound(g, forced)
+    want, want_rows = solver._solve_connected(g.n, g.m, g.out_links, cfg, forced, lower, stop)
+    assert (got.size, got.optimal, got.lower, got.nodes) == (want.size, want.optimal, want.lower,
+                                                             want.nodes)
+    assert (got.witness, got_rows) == (want.witness, want_rows)
+
+
+def test_spectrum_builds_no_oriented_graph(monkeypatch):
+    # every orientation is solved from its mask: neither a validated nor a
+    # trusted orientation is built, whether a mask is skipped, forced,
+    # settled by its forced rows or searched in full
+    def refuse(*args, **kwargs):
+        raise AssertionError("an OrientedGraph was built")
+
+    monkeypatch.setattr(OrientedGraph, "__post_init__", refuse)
+    monkeypatch.setattr(OrientedGraph, "_canonical", classmethod(refuse))
+    with pytest.raises(AssertionError):
+        orient(PETERSEN, 0)
+    for G in (PETERSEN, undirected_cycle(9), N7, complete_graph(5)):
+        sp = spectrum(G)
+        assert sp.counts["full_matrices"] > 0
+
+
+def test_mag_plus_at_least_n_builds_symmetries_only_when_needed(monkeypatch):
+    # the first 2^_SYM_CHUNK masks are tested as they come; the symmetries
+    # are built only when none of them is extremal
+    built = []
+    symmetries = scan._mask_symmetries
+    monkeypatch.setattr(scan, "_mask_symmetries", lambda G: built.append(G) or symmetries(G))
+    # mask 0 orients K5 as the transitive tournament; C5 has 16 masks in all
+    assert mag_plus_at_least_n(complete_graph(5)) and not mag_plus_at_least_n(undirected_cycle(5))
+    assert built == []
+    assert not mag_plus_at_least_n(PETERSEN)  # mag+ = 8
+    assert built == [PETERSEN]

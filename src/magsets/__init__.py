@@ -6,7 +6,6 @@ generators for the analyzed graph families, and the two hardness gadget
 constructions with brute-force verification oracles.
 """
 
-from .cover import Strategy
 from .digraph import (
     UNREACHABLE,
     OrientedGraph,

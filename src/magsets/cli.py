@@ -44,7 +44,7 @@ from .reductions import (
     verify_nae_reduction,
     verify_vc_reduction,
 )
-from .solver import SolverConfig, Strategy, min_mag_set
+from .solver import SolverConfig, min_mag_set
 from .spectrum import DEFAULT_EDGE_CAP, mag_plus_at_least_n, spectrum
 
 SCHEMA = 1
@@ -87,7 +87,7 @@ def _emit(report: dict, started: float) -> None:
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(max_nodes=args.budget, strategy=Strategy(args.strategy))
+    return SolverConfig(max_nodes=args.budget)
 
 
 def _need_directed(graph) -> OrientedGraph:
@@ -361,8 +361,7 @@ def _int_at_least(least: int):
 # the arguments shared by the analysis commands; each command takes the ones it reads
 _OPTIONS = {
     "input": dict(nargs="?", default="-", help="input file or '-' for stdin"),
-    "--budget": dict(type=int, default=10_000_000, help="search-node budget"),
-    "--strategy": dict(choices=[s.value for s in Strategy], default="auto"),
+    "--budget": dict(type=_int_at_least(1), default=10_000_000, help="search-node budget"),
     "--max-edges": dict(type=_int_at_least(0), default=DEFAULT_EDGE_CAP, help="orientation-enumeration cap"),
     "--threads": dict(type=_int_at_least(1), default=1, help="spectrum worker processes (1 = serial)"),
     "--seed": dict(type=int, default=0),
@@ -384,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mag", help="exact minimum MAG-set of an oriented graph")
-    _add_common(p, "input", "--budget", "--strategy")
+    _add_common(p, "input", "--budget")
     p.set_defaults(func=cmd_mag)
 
     p = sub.add_parser("meg", help="exact minimum MEG-set of an undirected graph")
@@ -392,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_meg)
 
     p = sub.add_parser("spectrum", help="mag over all orientations of an undirected graph")
-    _add_common(p, "input", "--budget", "--strategy", "--max-edges", "--threads")
+    _add_common(p, "input", "--budget", "--max-edges", "--threads")
     p.add_argument("--stop-at-two", action="store_true", help="early exit once mag 2 is found")
     p.add_argument("--stop-at-n", action="store_true", help="early exit once mag n is found")
     p.set_defaults(func=cmd_spectrum)
@@ -435,12 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
     c = checks.add_parser("nae", help="NAE-3SAT gadget against brute force")
     _add_common(c, "input", "--max-edges")
     c = checks.add_parser("vc", help="vertex-cover gadget against brute force")
-    _add_common(c, "input", "--budget", "--strategy")
+    _add_common(c, "input", "--budget")
     c.add_argument("--k", type=int, default=0, help="vertex-cover budget")
     c = checks.add_parser("family", help="closed forms of the generated families")
-    _add_common(c, "--budget", "--strategy", "--max-n")
+    _add_common(c, "--budget", "--max-n")
     c = checks.add_parser("thm32", help="extremal test against exact size on random digraphs")
-    _add_common(c, "--budget", "--strategy", "--max-n", "--seed")
+    _add_common(c, "--budget", "--max-n", "--seed")
     c.add_argument("--samples", type=int, default=100, help="random samples")
 
     p = sub.add_parser("export-dot", help="re-emit any edge list as DOT")

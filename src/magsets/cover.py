@@ -4,11 +4,11 @@ Given a bitmask of targets per unordered vertex pair, find the smallest
 vertex set M such that the union of the masks of pairs inside M covers
 everything.  A problem holds the masks as one symmetric per-vertex table,
 ``rows[x][y]`` the mask of pair {x, y}, which the monitoring kernel builds
-straight from its rows.  Two strategies:
+straight from its rows.  The engine follows from the problem: at most 24
+vertices outside the forced set are swept, more are branched over.
 
 * cardinality sweep -- enumerate all supersets of the forced set of size
-  k, k+1, ... with incremental coverage; best when the residual vertex
-  count is small (the default regime at desk scale);
+  k, k+1, ... with incremental coverage;
 * branch-and-bound  -- pick an uncovered target with the smallest
   admissible pair family, branch over its pairs.
 
@@ -33,16 +33,9 @@ exhausted budget stops are those of a search that enters every node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence
 
 from .errors import BadParamError
-
-
-class Strategy(Enum):
-    AUTO = "auto"
-    CARDINALITY_SWEEP = "sweep"
-    BRANCH_AND_BOUND = "bnb"
 
 
 def pair_rank(n: int, x: int, y: int) -> int:
@@ -334,30 +327,27 @@ def greedy_cover(problem: CoverProblem) -> tuple[int, ...]:
     return tuple(chosen)
 
 
-def sweeps(n: int, forced: int, strategy: Strategy) -> bool:
+def sweeps(n: int, forced: int) -> bool:
     """Whether :func:`solve_cover` sweeps a problem on n vertices with
-    ``forced`` forced: ``AUTO`` does when at most 24 vertices are free."""
-    if strategy is Strategy.AUTO:
-        return n - forced <= 24
-    return strategy is Strategy.CARDINALITY_SWEEP
+    ``forced`` forced: it does when at most 24 vertices are free."""
+    return n - forced <= 24
 
 
 def solve_cover(
     problem: CoverProblem,
     max_nodes: int = 10_000_000,
-    strategy: Strategy = Strategy.AUTO,
     greedy_incumbent: bool = True,
     stop: Optional[int] = None,
 ) -> CoverSolution:
-    """Solve with the chosen strategy (see :func:`sweeps`); a sweep gives
-    up before level ``stop``, branch-and-bound ignores it.  The
+    """Sweep or branch, as :func:`sweeps` picks from the problem; a sweep
+    gives up before level ``stop``, branch-and-bound ignores it.  The
     :func:`greedy_cover` is built only when a search needs it: as the
     branch-and-bound incumbent (with ``greedy_incumbent`` false the search
     starts from all n vertices instead), or when the budget runs out before
     an optimum is proven, when it is returned in place of a larger
     best-so-far."""
     greedy = None
-    if sweeps(problem.n, len(problem.forced), strategy):
+    if sweeps(problem.n, len(problem.forced)):
         solution = solve_cover_sweep(problem, max_nodes, stop)
     else:
         greedy = greedy_cover(problem) if greedy_incumbent else None

@@ -23,7 +23,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .cover import pair_rank, upper_triangle
+from .cover import CoverProblem, pair_rank, solve_cover, upper_triangle
 from .digraph import UNREACHABLE, OrientedGraph, UndirectedGraph
 from .errors import DisconnectedInputError, EqualVerticesError, OutOfRangeError
 
@@ -352,11 +352,8 @@ def min_meg_set(G: UndirectedGraph, max_nodes: int = 10_000_000) -> MegResult:
     """Exact minimum monitoring edge-geodetic set of a connected graph.
 
     The search is seeded with all degree-1 vertices, which belong to every
-    MEG-set; otherwise it reuses the same pair-cover sweep as the oriented
-    solver.
+    MEG-set; otherwise it reuses the oriented solver's cover engine.
     """
-    from .cover import CoverProblem, solve_cover
-
     if not G.is_connected():
         raise DisconnectedInputError("MEG solver requires a connected graph")
     if G.m == 0:

@@ -20,6 +20,7 @@ from typing import Optional, Union
 from .digraph import OrientedGraph, UndirectedGraph
 from .errors import (
     BadParamError,
+    BudgetExceededError,
     InvalidInstanceError,
     ParseError,
     TooLargeError,
@@ -241,13 +242,16 @@ def verify_vc_reduction(
     inst: VertexCoverInstance, cfg: Optional[SolverConfig] = None, max_size: int = 12
 ) -> bool:
     """Does [the gadget has a MAG-set of size <= k + 2n + 2m] match the
-    brute vertex-cover verdict?"""
+    brute vertex-cover verdict?  Raises :class:`BudgetExceededError` when
+    the budget runs out before a MAG-set within the target is found."""
     G = inst.graph
     if G.n + G.m > max_size:
         raise TooLargeError(f"n + m = {G.n + G.m} exceeds the practical cap of {max_size}")
     art = vc_to_mag_instance(inst)
     assert isinstance(art.graph, OrientedGraph) and art.target is not None
     result = min_mag_set(art.graph, cfg or SolverConfig())
+    if not result.optimal and result.size > art.target:
+        raise BudgetExceededError(f"search budget exhausted before a MAG-set of size <= {art.target}")
     cover_exists, _ = brute_vertex_cover(inst)
     return (result.size <= art.target) == cover_exists
 

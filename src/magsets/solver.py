@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .cover import CoverProblem, CoverSolution, Strategy, greedy_cover, solve_cover, sweeps
+from .cover import CoverProblem, CoverSolution, greedy_cover, solve_cover, sweeps
 from .digraph import OrientedGraph
 from .errors import BadParamError
 from .monitoring import LinkAdjacency, Rows, _pair_table, _route_rows, forced_vertices
@@ -19,7 +19,6 @@ from .monitoring import LinkAdjacency, Rows, _pair_table, _route_rows, forced_ve
 @dataclass(frozen=True)
 class SolverConfig:
     max_nodes: int = 10_000_000
-    strategy: Strategy = Strategy.AUTO
 
     def __post_init__(self) -> None:
         if self.max_nodes <= 0:
@@ -80,12 +79,15 @@ def mag_lower_bound(g: OrientedGraph, forced: Optional[frozenset[int]] = None) -
     graphs (tournaments), and the forced-set size."""
     if g.m == 0:
         return 0
-    bound = 2
-    if g.n >= 2 and g.m == g.n * (g.n - 1) // 2:
-        bound = max(bound, g.n - 1)
     if forced is None:
         forced = forced_vertices(g).vertices
-    return max(bound, len(forced))
+    return max(_mag_floor(g.n, g.m), len(forced))
+
+
+def _mag_floor(n: int, m: int) -> int:
+    """mag of a graph on n vertices and m >= 1 arcs is at least 2, and at
+    least n - 1 when the underlying graph is complete (tournaments)."""
+    return max(2, n - 1) if m == n * (n - 1) // 2 else 2
 
 
 def _solve_connected(
@@ -110,7 +112,7 @@ def _solve_connected(
             row_x = rows[x]
             for y in forced:
                 covered |= row_x[y]
-        sweep = sweeps(n, k, cfg.strategy)
+        sweep = sweeps(n, k)
         if covered == full:
             # the searches' own count for a root that covers
             return CoverSolution(k, tuple(sorted(forced)), True, 0 if sweep else 1, k), rows
@@ -118,7 +120,7 @@ def _solve_connected(
             # the sweep's result when it gives up after one node, F itself
             return CoverSolution(n, tuple(range(n)), False, 1, stop), rows
     problem = CoverProblem(n, full, _pair_table(_route_rows(adj, range(n), rows)), forced, lower)
-    return solve_cover(problem, max_nodes=cfg.max_nodes, strategy=cfg.strategy, stop=stop), rows
+    return solve_cover(problem, max_nodes=cfg.max_nodes, stop=stop), rows
 
 
 def min_mag_set(g: OrientedGraph, cfg: Optional[SolverConfig] = None) -> MagResult:

@@ -38,7 +38,7 @@ from .errors import (
     WidthMismatchError,
 )
 from .monitoring import _first_unbypassed, _forced_reasons
-from .solver import SolverConfig, _solve_connected
+from .solver import SolverConfig, _mag_floor, _solve_connected
 
 DEFAULT_EDGE_CAP = 20
 
@@ -315,7 +315,7 @@ def _scan_masks(
         return {0: 0}, [], dict(masks_scanned=1, masks_symmetric=0, masks_forced=0,
                                 masks_searched=0, full_matrices=0)
     lookup, end_count = _neighbourhood_lookup(G), _end_count(G)
-    floor = max(2, n - 1) if G.m == n * (n - 1) // 2 else 2  # tournaments: n - 1
+    floor = _mag_floor(n, G.m)
     best: dict[int, int] = {}
     pending: list[tuple[int, int, int]] = []
     top, ceil = n + 1, n

@@ -37,6 +37,12 @@ def random_connected_oriented(rng: random.Random, n: int, p: float = 0.5) -> Ori
             return g
 
 
+def cycle_with_chord(n: int, head: int) -> OrientedGraph:
+    """The directed n-cycle plus the arc (0, head), on which nothing is
+    forced: the solve sweeps it for n <= 24 and branches over pairs above."""
+    return OrientedGraph(n, tuple((i, (i + 1) % n) for i in range(n)) + ((0, head),))
+
+
 def random_tree(rng: random.Random, n: int) -> UndirectedGraph:
     """Uniform-ish random tree: attach each vertex to a random earlier one."""
     edges = tuple((rng.randrange(i), i) for i in range(1, n))

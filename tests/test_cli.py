@@ -43,16 +43,12 @@ def test_mag_reads_file(tmp_path, capsys, monkeypatch):
     assert rc == 0 and report["result"]["size"] == 2
 
 
-def test_mag_strategy_choices(capsys, monkeypatch):
-    # each choice reaches the search: auto sweeps here, and branch-and-bound
-    # proves the same optimum in fewer nodes
+def test_mag_search_result(capsys, monkeypatch):
+    # nothing is forced, so the report is the sweep's witness and node count
     c8_chord = "directed 8 9\n0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n7 0\n0 4\n"
-    reports = {}
-    for choice in ("auto", "sweep", "bnb"):
-        rc, report, _ = run_json(capsys, monkeypatch, ["mag", "-", "--strategy", choice], c8_chord)
-        assert rc == 0
-        reports[choice] = (report["result"]["witness"], report["stats"]["nodes"])
-    assert reports == {"auto": ([0, 1, 4], 31), "sweep": ([0, 1, 4], 31), "bnb": ([0, 1, 4], 11)}
+    rc, report, _ = run_json(capsys, monkeypatch, ["mag", "-"], c8_chord)
+    assert rc == 0
+    assert (report["result"]["witness"], report["stats"]["nodes"]) == ([0, 1, 4], 31)
 
 
 def test_meg_command(capsys, monkeypatch):
@@ -91,10 +87,15 @@ def test_spectrum_command(capsys, monkeypatch):
     ["spectrum", "-", "--threads", "-3"],
     ["spectrum", "-", "--max-edges", "-1"],
     ["extremal", "-", "--max-edges", "-1"],
+    ["mag", "-", "--budget", "0"],
+    ["meg", "-", "--budget", "-1"],
+    ["spectrum", "-", "--budget", "0"],
+    ["verify", "vc", "-", "--budget", "0"],
 ])
 def test_bad_threads_and_edge_cap_exit_2(capsys, monkeypatch, argv):
-    # a worker count below 1 does not mean a serial scan, and a negative
-    # edge cap is not a cap that the graph exceeds
+    # a worker count below 1 does not mean a serial scan, a negative edge
+    # cap is not a cap that the graph exceeds, and a budget below 1 allows
+    # no search node
     with pytest.raises(SystemExit) as exc:
         run(capsys, monkeypatch, argv, C6_UNDIRECTED)
     assert exc.value.code == 2
@@ -162,6 +163,13 @@ def test_verify_vc(capsys, monkeypatch):
     tri = "undirected 3 3\n0 1\n1 2\n0 2\n"
     rc, report, _ = run_json(capsys, monkeypatch, ["verify", "vc", "-", "--k", "1"], tri)
     assert rc == 0 and report["result"]["verified"] is True
+    # on P5 at k = 2 the gadget's mag meets the target; one search node
+    # leaves a cover above it, which decides nothing
+    p5 = "undirected 5 4\n0 1\n0 2\n1 4\n2 3\n"
+    rc, report, _ = run_json(capsys, monkeypatch, ["verify", "vc", "-", "--k", "2"], p5)
+    assert rc == 0 and report["result"]["verified"] is True
+    rc, out, err = run(capsys, monkeypatch, ["verify", "vc", "-", "--k", "2", "--budget", "1"], p5)
+    assert rc == 3 and out == "" and "budget" in err
 
 
 def test_verify_family_sweep(capsys, monkeypatch):
@@ -241,17 +249,18 @@ def test_huge_edgeless_graph_is_rejected_at_once(capsys, monkeypatch, command, m
     assert rc == 1 and out == "" and message in err
 
 
-# the shared arguments each analysis command reads, and one value for each
+# the shared arguments each analysis command reads, and one value for each;
+# no command reads --strategy, so every command must reject it
 READS = {
-    "mag": {"input", "--budget", "--strategy"},
+    "mag": {"input", "--budget"},
     "meg": {"input", "--budget"},
-    "spectrum": {"input", "--budget", "--strategy", "--max-edges", "--threads"},
+    "spectrum": {"input", "--budget", "--max-edges", "--threads"},
     "extremal": {"input", "--max-edges"},
     "forced": {"input"},
     "verify nae": {"input", "--max-edges"},
-    "verify vc": {"input", "--budget", "--strategy"},
-    "verify family": {"--budget", "--strategy", "--max-n"},
-    "verify thm32": {"--budget", "--strategy", "--max-n", "--seed"},
+    "verify vc": {"input", "--budget"},
+    "verify family": {"--budget", "--max-n"},
+    "verify thm32": {"--budget", "--max-n", "--seed"},
     "export-dot": {"input"},
 }
 VALUES = {

@@ -18,7 +18,6 @@ from magsets import (
     BadParamError,
     OrientedGraph,
     SolverConfig,
-    Strategy,
     UndirectedGraph,
     edge_monitors_undirected,
     forced_vertices,
@@ -40,11 +39,13 @@ from magsets.cover import (
     pair_rank,
     solve_cover_branch_bound,
     solve_cover_sweep,
+    sweeps,
 )
 from magsets.monitoring import undirected_monitor_pair_masks
 
 import helpers
 from helpers import (
+    cycle_with_chord,
     deletion_pair_masks,
     pair_rows,
     random_connected_undirected,
@@ -160,12 +161,12 @@ def test_meg_branch_and_bound_starts_from_all_vertices():
 
 
 def test_budget_fallback_keeps_greedy_on_both_strategies():
-    g = OrientedGraph(8, tuple((i, (i + 1) % 8) for i in range(8)) + ((0, 4),))
-    greedy = greedy_mag_set(g)
-    assert len(greedy) < g.n
-    for strategy in (Strategy.CARDINALITY_SWEEP, Strategy.BRANCH_AND_BOUND):
-        res = min_mag_set(g, SolverConfig(max_nodes=1, strategy=strategy))
-        assert not res.optimal and res.size <= len(greedy)
+    for n, sweep in [(8, True), (30, False)]:
+        g = cycle_with_chord(n, n // 2)
+        greedy = greedy_mag_set(g)
+        assert len(greedy) == 3 and sweeps(g.n, len(forced_vertices(g).vertices)) == sweep
+        res = min_mag_set(g, SolverConfig(max_nodes=1))
+        assert not res.optimal and res.witness == tuple(sorted(greedy))
 
 
 def _run(capsys, monkeypatch, argv, stdin):

@@ -5,8 +5,10 @@ import pytest
 
 from magsets import (
     BadParamError,
+    BudgetExceededError,
     InvalidInstanceError,
     Nae3SatInstance,
+    SolverConfig,
     UndirectedGraph,
     VertexCoverInstance,
     brute_nae3sat,
@@ -148,6 +150,16 @@ def test_vc_reduction_iff_random():
         G = random_connected_undirected(rng, 5, extra=2)
         for k in (0, 1, 2, 3):
             assert verify_vc_reduction(VertexCoverInstance(G, k))
+
+
+def test_vc_verdict_needs_a_decided_search():
+    # on P5 the gadget's mag is 20; one search node leaves a 21-vertex
+    # cover, which decides the target 21 (k = 3) but not 20 (k = 2)
+    G = UndirectedGraph(5, ((0, 1), (0, 2), (1, 4), (2, 3)))
+    assert verify_vc_reduction(VertexCoverInstance(G, 2))
+    with pytest.raises(BudgetExceededError):
+        verify_vc_reduction(VertexCoverInstance(G, 2), SolverConfig(max_nodes=1))
+    assert verify_vc_reduction(VertexCoverInstance(G, 3), SolverConfig(max_nodes=1))
 
 
 def test_vc_extraction_round_trip():

@@ -8,12 +8,15 @@ from magsets import (
     BadParamError,
     OrientedGraph,
     SolverConfig,
-    Strategy,
+    forced_vertices,
     greedy_mag_set,
     is_mag_set,
+    mag_lower_bound,
     min_mag_set,
+    monitor_matrix,
     orient,
 )
+from magsets.cover import CoverProblem, solve_cover_branch_bound, solve_cover_sweep, sweeps
 from magsets.families import (
     cycle_c0,
     cycle_c1,
@@ -26,6 +29,8 @@ from magsets.families import (
 
 from helpers import (
     brute_min_mag,
+    cycle_with_chord,
+    pair_rows,
     random_connected_oriented,
     random_connected_undirected,
     random_oriented,
@@ -50,21 +55,23 @@ def test_matches_brute_force():
 
 
 def test_strategies_agree():
+    # both engines on each graph's forced, bounded cover problem
     rng = random.Random(23)
     for _ in range(20):
         g = random_connected_oriented(rng, 7)
-        sweep = min_mag_set(g, SolverConfig(strategy=Strategy.CARDINALITY_SWEEP))
-        bnb = min_mag_set(g, SolverConfig(strategy=Strategy.BRANCH_AND_BOUND))
-        assert sweep.size == bnb.size
-        assert is_mag_set(g, bnb.witness)[0]
+        forced = forced_vertices(g).vertices
+        problem = CoverProblem(
+            g.n, (1 << g.m) - 1, pair_rows(g.n, monitor_matrix(g).pair_arcs), forced,
+            mag_lower_bound(g, forced),
+        )
+        sweep, bnb = solve_cover_sweep(problem), solve_cover_branch_bound(problem)
+        assert sweep.optimal and bnb.optimal
+        assert sweep.size == bnb.size == min_mag_set(g).size
+        assert is_mag_set(g, sweep.witness)[0] and is_mag_set(g, bnb.witness)[0]
 
 
-@pytest.mark.parametrize("strategy, max_nodes", [
-    (Strategy.AUTO, 1),
-    (Strategy.CARDINALITY_SWEEP, 1),
-    (Strategy.BRANCH_AND_BOUND, 10_000_000),
-])
-def test_pair_rows_built_once_per_solve(monkeypatch, strategy, max_nodes):
+@pytest.mark.parametrize("engine, max_nodes", [("sweep", 1), ("bnb", 1), ("bnb", 10_000_000)])
+def test_pair_rows_built_once_per_solve(monkeypatch, engine, max_nodes):
     # each case reads the pair table in the search and in the greedy: a
     # search out of budget falls back on the greedy, branch-and-bound starts
     # from it; the table is built once, from the kernel rows
@@ -73,8 +80,12 @@ def test_pair_rows_built_once_per_solve(monkeypatch, strategy, max_nodes):
     calls = []
     pair_table = solver._pair_table
     monkeypatch.setattr(solver, "_pair_table", lambda rows: calls.append(rows) or pair_table(rows))
-    g = random_connected_oriented(random.Random(1), 10, p=0.4)
-    res = min_mag_set(g, SolverConfig(max_nodes=max_nodes, strategy=strategy))
+    if engine == "sweep":
+        g = random_connected_oriented(random.Random(1), 10, p=0.4)
+    else:
+        g = cycle_with_chord(30, 15)
+    assert sweeps(g.n, len(forced_vertices(g).vertices)) == (engine == "sweep")
+    res = min_mag_set(g, SolverConfig(max_nodes=max_nodes))
     assert res.optimal == (max_nodes > 1)
     assert is_mag_set(g, res.witness)[0]
     assert len(calls) == 1
@@ -164,19 +175,19 @@ def test_budget_exhaustion_degrades_gracefully():
 def test_covering_forced_set_builds_only_its_rows(monkeypatch):
     # the forced ends of a directed path cover every arc: the solve builds
     # their two kernel rows only, the certificate reads them, and the node
-    # counts are those of the searches' own early returns
+    # count is that of the engine's own early return: the sweep's 0 on P_7,
+    # branch-and-bound's 1 on P_28, whose 26 free vertices are branched over
     from magsets import monitoring
 
     sources = []
     row = monitoring._sole_route_row
     monkeypatch.setattr(monitoring, "_sole_route_row", lambda adj, x: sources.append(x) or row(adj, x))
-    g = directed_path(7)
-    for strategy, nodes in [(Strategy.AUTO, 0), (Strategy.CARDINALITY_SWEEP, 0), (Strategy.BRANCH_AND_BOUND, 1)]:
+    for n, nodes in [(7, 0), (28, 1)]:
         sources.clear()
-        res = min_mag_set(g, SolverConfig(strategy=strategy))
-        assert (res.size, res.witness, res.optimal, res.nodes, res.lower) == (2, (0, 6), True, nodes, 2)
-        assert res.coverage == {a: (0, 6) for a in range(6)}
-        assert sorted(sources) == [0, 6]
+        res = min_mag_set(directed_path(n))
+        assert (res.size, res.witness, res.optimal, res.nodes, res.lower) == (2, (0, n - 1), True, nodes, 2)
+        assert res.coverage == {a: (0, n - 1) for a in range(n - 1)}
+        assert sorted(sources) == [0, n - 1]
 
 
 def test_cycle_closed_forms():

@@ -365,7 +365,7 @@ _OPTIONS = {
     "--max-edges": dict(type=_int_at_least(0), default=DEFAULT_EDGE_CAP, help="orientation-enumeration cap"),
     "--threads": dict(type=_int_at_least(1), default=1, help="spectrum worker processes (1 = serial)"),
     "--seed": dict(type=int, default=0),
-    "--max-n": dict(type=int, default=7, help="size cap of the sweep"),
+    "--max-n": dict(type=_int_at_least(2), default=7, help="size cap of the sweep"),
 }
 
 

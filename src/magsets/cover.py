@@ -27,8 +27,14 @@ bound adds one vertex and is such a leaf; the node counts each one as a
 node and one unit of the budget, in pair order, and tests it inline.  It
 returns at the first cover, which puts every later sibling at the bound.
 The sweep tests the sets of the size being tried inline in the same way.
-The nodes counted, their order, the witnesses and the node at which an
-exhausted budget stops are those of a search that enters every node.
+
+A branch-and-bound node keeps the gain list of its path: ``gain[v]`` is the
+OR of ``rows[v][c]`` over the c in its set.  A child's coverage, or a
+leaf's cover test, reads one entry per added vertex instead of ORing its
+rows to every chosen vertex.  None of this changes the search: the nodes
+counted, their order, the witnesses and the node at which an exhausted
+budget stops are those of a search that enters every node and ORs the
+rows of each one's set.
 """
 from __future__ import annotations
 
@@ -77,19 +83,6 @@ class CoverSolution:
     lower: int
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, max_nodes: int) -> None:
-        if max_nodes <= 0:
-            raise BadParamError("node budget must be positive")
-        self.left = max_nodes
-
-    def spend(self) -> bool:
-        self.left -= 1
-        return self.left >= 0
-
-
 def coverage_of(problem: CoverProblem, vertices: tuple[int, ...] | list[int]) -> int:
     rows = problem.rows
     cov = 0
@@ -109,7 +102,8 @@ def solve_cover_sweep(
     that level: the solution is then all n vertices, not optimal, with
     ``lower`` = ``stop``.  When the budget runs out, ``lower`` is the level
     it reached, since every smaller level has been searched in full."""
-    budget = _Budget(max_nodes)
+    if max_nodes <= 0:
+        raise BadParamError("node budget must be positive")
     full = problem.full_mask
     forced = tuple(sorted(problem.forced))
     free = [v for v in range(problem.n) if v not in problem.forced]
@@ -132,7 +126,7 @@ def solve_cover_sweep(
         nonlocal nodes, found
         if remaining == 0:  # only when the forced set alone is tried
             nodes += 1
-            if not budget.spend():
+            if nodes > max_nodes:
                 raise _BudgetStop
             return cov == full
         if remaining == 1:  # the leaves, tested here in the order they would be visited
@@ -143,7 +137,7 @@ def solve_cover_sweep(
                 for c in chosen:
                     extra |= row_v[c]
                 nodes += 1
-                if not budget.spend():
+                if nodes > max_nodes:
                     raise _BudgetStop
                 if cov | extra == full:
                     found = chosen + [v]
@@ -208,8 +202,19 @@ def solve_cover_branch_bound(
 ) -> CoverSolution:
     """Branch over the admissible pairs of a most-constrained uncovered
     target, starting from the known cover ``upper_witness`` (all n
-    vertices when none is given)."""
-    budget = _Budget(max_nodes)
+    vertices when none is given).
+
+    A node holds its ``k`` vertices as the bitmask ``cmask`` and keeps the
+    invariant ``gain[v] == OR of rows[v][c] over c in cmask``.  A child
+    adding x covers ``cov | gain[x]``; one adding x and y covers
+    ``cov | gain[x] | gain[y] | rows[x][y]``.  Each node builds its list
+    from its parent's only after its early returns, which most children
+    take.  The first uncovered target in ``order`` only moves forward along
+    a path, so its position is handed down.  Neither changes the node
+    counts, the visit order, the witnesses or the node where a budget
+    stops."""
+    if max_nodes <= 0:
+        raise BadParamError("node budget must be positive")
     n = problem.n
     full = problem.full_mask
     forced = tuple(sorted(problem.forced))
@@ -228,23 +233,25 @@ def solve_cover_branch_bound(
     admissible: dict[int, list[tuple[int, int]]] = {}  # target bit -> its pairs, in lex order
     nodes = 0
 
-    def rec(chosen: set[int], cov: int) -> None:
+    def rec(k: int, cmask: int, cov: int, gain: list[int], added: tuple[int, ...], pos: int) -> None:
         nonlocal best, nodes
         nodes += 1
-        if not budget.spend():
+        if nodes > max_nodes:
             raise _BudgetStop
-        k, limit = len(chosen), len(best)
+        limit = len(best)
         if k >= limit:
             return
         if cov == full:
-            best = sorted(chosen)
+            best = [v for v in range(n) if cmask >> v & 1]
             return
         if k + 1 >= limit:
             return  # every child adds a vertex, so none beats the bound
+        for a in added:
+            gain = [g | r for g, r in zip(gain, rows[a])]
         uncovered = full & ~cov
-        for bit in order:
-            if uncovered & bit:
-                break
+        while not uncovered & order[pos]:
+            pos += 1
+        bit = order[pos]
         pick_pairs = admissible.get(bit)
         if pick_pairs is None:
             pick_pairs = admissible[bit] = [key for key, mk in zip(keys, pair_masks) if mk & bit]
@@ -253,44 +260,35 @@ def solve_cover_branch_bound(
             # count and test each here, and stop at the first cover, which
             # puts every later sibling at the bound
             for x, y in pick_pairs:
-                if x in chosen:
+                if cmask >> x & 1:
                     v = y
-                elif y in chosen:
+                elif cmask >> y & 1:
                     v = x
                 else:
                     continue
                 nodes += 1
-                if not budget.spend():
+                if nodes > max_nodes:
                     raise _BudgetStop
-                extra = 0
-                row_v = rows[v]
-                for c in chosen:
-                    extra |= row_v[c]
-                if cov | extra == full:
-                    best = sorted(chosen | {v})
+                if cov | gain[v] == full:
+                    cmask |= 1 << v
+                    best = [u for u in range(n) if cmask >> u & 1]
                     return
             return
         for x, y in pick_pairs:
-            add_x, add_y = x not in chosen, y not in chosen
-            if k + add_x + add_y >= limit:
-                continue
-            extra = 0
-            new = set(chosen)
-            if add_x:
-                row_x = rows[x]
-                for c in chosen:
-                    extra |= row_x[c]
-                new.add(x)
-            if add_y:
-                row_y = rows[y]
-                for c in new:
-                    extra |= row_y[c]
-                new.add(y)
-            rec(new, cov | extra)
+            if cmask >> x & 1:
+                if k + 1 < limit:
+                    rec(k + 1, cmask | 1 << y, cov | gain[y], gain, (y,), pos)
+            elif cmask >> y & 1:
+                if k + 1 < limit:
+                    rec(k + 1, cmask | 1 << x, cov | gain[x], gain, (x,), pos)
+            elif k + 2 < limit:
+                child_cov = cov | gain[x] | gain[y] | rows[x][y]
+                rec(k + 2, cmask | 1 << x | 1 << y, child_cov, gain, (x, y), pos)
             limit = len(best)
 
+    fmask = sum(1 << f for f in forced)
     try:
-        rec(set(forced), root_cov)
+        rec(len(forced), fmask, root_cov, [0] * n, forced, 0)
     except _BudgetStop:
         lower = max(problem.lower_bound, len(forced))
         return CoverSolution(len(best), tuple(best), False, nodes, lower)

@@ -48,6 +48,8 @@ class MagResult:
     def coverage(self) -> dict[int, tuple[int, int]]:
         """Per arc, the lexicographically first witness pair monitoring it;
         built on first access from the witness vertices' kernel rows."""
+        if not self.witness:
+            return {}  # no arcs: nothing to certify, and no graph table to build
         g = self._graph
         rows = _route_rows(g.out_links, self.witness, self._rows or [None] * g.n)
         cert: dict[int, tuple[int, int]] = {}

@@ -51,6 +51,18 @@ def test_mag_search_result(capsys, monkeypatch):
     assert (report["result"]["witness"], report["stats"]["nodes"]) == ([0, 1, 4], 31)
 
 
+def test_mag_arcless_builds_no_rows(capsys, monkeypatch):
+    # an empty witness certifies nothing: the report is built without
+    # touching the graph's per-vertex tables
+    def no_rows(*args):
+        raise AssertionError("kernel rows built for an arcless graph")
+
+    monkeypatch.setattr("magsets.solver._route_rows", no_rows)
+    rc, report, _ = run_json(capsys, monkeypatch, ["mag", "-"], "directed 5 0\n")
+    assert rc == 0
+    assert report["result"] == {"size": 0, "witness": [], "forced": [], "coverage": {}, "optimal": True}
+
+
 def test_meg_command(capsys, monkeypatch):
     rc, report, _ = run_json(capsys, monkeypatch, ["meg", "-"], C6_UNDIRECTED)
     assert rc == 0 and report["result"]["size"] == 3
@@ -91,11 +103,14 @@ def test_spectrum_command(capsys, monkeypatch):
     ["meg", "-", "--budget", "-1"],
     ["spectrum", "-", "--budget", "0"],
     ["verify", "vc", "-", "--budget", "0"],
+    ["verify", "thm32", "--max-n", "1"],
+    ["verify", "thm32", "--max-n", "0"],
+    ["verify", "thm32", "--max-n", "-3"],
 ])
 def test_bad_threads_and_edge_cap_exit_2(capsys, monkeypatch, argv):
     # a worker count below 1 does not mean a serial scan, a negative edge
-    # cap is not a cap that the graph exceeds, and a budget below 1 allows
-    # no search node
+    # cap is not a cap that the graph exceeds, a budget below 1 allows no
+    # search node, and thm32 draws graphs of 2 to --max-n vertices
     with pytest.raises(SystemExit) as exc:
         run(capsys, monkeypatch, argv, C6_UNDIRECTED)
     assert exc.value.code == 2

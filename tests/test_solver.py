@@ -1,4 +1,8 @@
+import importlib.util
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +19,9 @@ from magsets import (
     min_mag_set,
     monitor_matrix,
     orient,
+    parse_edge_list,
 )
-from magsets.cover import CoverProblem, solve_cover_branch_bound, solve_cover_sweep, sweeps
+from magsets.cover import CoverProblem, greedy_cover, solve_cover_branch_bound, solve_cover_sweep, sweeps
 from magsets.families import (
     cycle_c0,
     cycle_c1,
@@ -27,6 +32,7 @@ from magsets.families import (
     transitive_tournament,
 )
 
+import helpers
 from helpers import (
     brute_min_mag,
     cycle_with_chord,
@@ -116,6 +122,51 @@ def test_golden_node_counts(seed):
     assert (g.n - len(res.forced) <= 24) == (seed in (0, 2))
     assert (res.size, res.nodes, res.optimal, res.witness) == GOLDEN_SEARCHES[seed]
     assert is_mag_set(g, res.witness)[0]
+
+
+@pytest.mark.parametrize("seed", [187, 91])
+def test_branch_bound_matches_reference_on_golden_graphs(seed):
+    # the property tests stop at 14 vertices; on these 40-vertex searches the
+    # reference, which enters every node and ORs each set's rows, stops at
+    # the same node with the same cover held, at the start and at the end
+    rng = random.Random(seed)
+    G = random_connected_undirected(rng, 40, extra=31)
+    g = orient(G, rng.getrandbits(G.m))
+    forced = forced_vertices(g).vertices
+    rows = pair_rows(g.n, monitor_matrix(g).pair_arcs)
+    problem = CoverProblem(g.n, (1 << g.m) - 1, rows, forced, mag_lower_bound(g, forced))
+    known = greedy_cover(problem)
+    whole = helpers.solve_cover_branch_bound(problem, 20_000, known)
+    assert (whole.size, whole.nodes, whole.optimal, whole.witness) == GOLDEN_SEARCHES[seed]
+    total = whole.nodes
+    for budget in (1, 2, total - 1, total):
+        assert solve_cover_branch_bound(problem, budget, known) == helpers.solve_cover_branch_bound(
+            problem, budget, known
+        )
+
+
+BENCH = Path(__file__).parents[1] / "bench"
+
+
+def test_search_pool_matches_reference(monkeypatch):
+    # every member of the benchmark's search pool, under its node budget,
+    # finds the size, optimality and node count recorded in the reference
+    spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    reference = json.loads((BENCH / "reference.json").read_text())["search"]
+    pool = workloads.search_pool()
+    assert sorted(pool) == sorted(reference) and len(pool) == 320
+    cfg = SolverConfig(max_nodes=workloads.SEARCH_BUDGET)
+    got, want = {}, {}
+    for key, text in pool.items():
+        entry = reference[key]
+        assert workloads.digest(text) == entry["digest"]
+        res = min_mag_set(parse_edge_list(text), cfg)
+        got[key] = (res.nodes, res.optimal, res.size)
+        want[key] = (entry["nodes"], entry["optimal"], entry["size"])
+    assert got == want
 
 
 def test_component_additivity():

@@ -4,14 +4,16 @@ A pair {x, y} monitors an arc when the arc lies on every shortest directed
 path from x to y (or from y to x).  Deleting a monitored arc therefore
 strictly increases that distance -- that is the whole detection idea.
 """
-from magsets import OrientedGraph, is_mag_set, min_mag_set, monitor_matrix, pair_monitors
+from itertools import combinations
+
+from magsets import OrientedGraph, is_mag_set, min_mag_set, pair_monitors, pair_table
 
 g = OrientedGraph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)))
 print("graph:", g.arcs)
 
-mat = monitor_matrix(g)
+table = pair_table(g)  # table[x][y]: the arcs the pair {x, y} monitors, as a bitmask
 for a, arc in enumerate(g.arcs):
-    watchers = [(x, y) for x, y in mat.pairs if mat.arcs_monitored_by(x, y) >> a & 1]
+    watchers = [(x, y) for x, y in combinations(range(g.n), 2) if table[x][y] >> a & 1]
     print(f"arc {arc} is monitored by {watchers}")
 
 res = min_mag_set(g)

@@ -49,16 +49,15 @@ from .monitoring import (
     ForcedReport,
     ForcedRule,
     MegResult,
-    MonitorMatrix,
     edge_monitors_undirected,
     forced_vertices,
     is_extremal,
     is_mag_set,
     min_meg_set,
-    monitor_matrix,
     monitors_directed,
     monitors_directed_by_counting,
     pair_monitors,
+    pair_table,
 )
 from .reductions import (
     Nae3SatInstance,
@@ -75,7 +74,7 @@ from .reductions import (
     verify_vc_reduction,
     write_nae3sat,
 )
-from .solver import MagResult, SolverConfig, greedy_mag_set, mag_lower_bound, min_mag_set
+from .solver import MagResult, SolverConfig, mag_lower_bound, min_mag_set
 from .spectrum import SpectrumResult, mag_plus_at_least_n, orient, spectrum
 
 __version__ = "0.1.0"

@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="emit a hardness gadget as an edge list with role comments")
     p.add_argument("problem", choices=["nae3sat", "vertexcover"])
     p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--k", type=int, default=0, help="vertex-cover budget")
+    p.add_argument("--k", type=_int_at_least(0), default=0, help="vertex-cover budget")
     p.add_argument("--format", choices=["edgelist", "dot"], default="edgelist")
     p.set_defaults(func=cmd_reduce)
 
@@ -435,12 +435,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(c, "input", "--max-edges")
     c = checks.add_parser("vc", help="vertex-cover gadget against brute force")
     _add_common(c, "input", "--budget")
-    c.add_argument("--k", type=int, default=0, help="vertex-cover budget")
+    c.add_argument("--k", type=_int_at_least(0), default=0, help="vertex-cover budget")
     c = checks.add_parser("family", help="closed forms of the generated families")
-    _add_common(c, "--budget", "--max-n")
+    _add_common(c, "--budget")
+    # every family starts at n = 3, so a smaller cap would check nothing
+    c.add_argument("--max-n", **{**_OPTIONS["--max-n"], "type": _int_at_least(3)})
     c = checks.add_parser("thm32", help="extremal test against exact size on random digraphs")
     _add_common(c, "--budget", "--max-n", "--seed")
-    c.add_argument("--samples", type=int, default=100, help="random samples")
+    c.add_argument("--samples", type=_int_at_least(1), default=100, help="random samples")
 
     p = sub.add_parser("export-dot", help="re-emit any edge list as DOT")
     _add_common(p, "input")

@@ -44,11 +44,6 @@ from typing import Optional, Sequence
 from .errors import BadParamError
 
 
-def pair_rank(n: int, x: int, y: int) -> int:
-    """Lexicographic rank of the pair x < y within 0..C(n,2)-1."""
-    return x * n - x * (x + 1) // 2 + (y - x - 1)
-
-
 @dataclass(frozen=True)
 class CoverProblem:
     """``rows[x][y]`` is the target mask of pair {x, y}: a symmetric n x n
@@ -62,12 +57,12 @@ class CoverProblem:
 
     @property
     def pair_masks(self) -> list[int]:
-        """The masks of the pairs x < y in :func:`pair_rank` order."""
+        """The masks of the pairs x < y, in lexicographic order."""
         return upper_triangle(self.rows)
 
 
 def upper_triangle(rows: Sequence[Sequence[int]]) -> list[int]:
-    """``rows[x][y]`` for every pair x < y, in :func:`pair_rank` order."""
+    """``rows[x][y]`` for every pair x < y, in lexicographic order."""
     return [mask for x, row in enumerate(rows) for mask in row[x + 1 :]]
 
 

@@ -11,19 +11,20 @@ shortest x->y path; over the BFS levels from x it satisfies
 the recurrence behind Brandes' betweenness algorithm.  The kernel keeps
 N_x(y) as an int bitset over arc indices, so one BFS per source builds a
 whole row, and the mask of the pair {x, y} is N_x(y) | N_y(x): the rows
-and their transpose give the cover engine's per-vertex pair table.  The
-undirected (MEG) relation is the same kernel with each edge reachable from
-both ends under one shared bit.  The path-counting test
-(`monitors_directed_by_counting`) is kept as an independent cross-check.
+and their transpose give the symmetric pair table (`pair_table`) that the
+cover engine searches.  The undirected (MEG) relation is the same kernel
+with each edge reachable from both ends under one shared bit.  Checking a
+given set (`is_mag_set`) needs only the rows of its own vertices.  The
+path-counting test (`monitors_directed_by_counting`) is kept as an
+independent cross-check.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .cover import CoverProblem, pair_rank, solve_cover, upper_triangle
+from .cover import CoverProblem, solve_cover
 from .digraph import UNREACHABLE, OrientedGraph, UndirectedGraph
 from .errors import DisconnectedInputError, EqualVerticesError, OutOfRangeError
 
@@ -34,13 +35,6 @@ LinkAdjacency = Sequence[Sequence[tuple[int, int]]]
 # increasing order: the neighbourhoods the forcing rules read.
 Masks = Sequence[int]
 Lists = Sequence[Sequence[int]]
-
-
-def pair_key(x: int, y: int) -> tuple[int, int]:
-    """Canonical form of the unordered pair {x, y}."""
-    if x == y:
-        raise EqualVerticesError(f"pair needs two distinct vertices, got {x} twice")
-    return (x, y) if x < y else (y, x)
 
 
 def _sole_route_row(adj: LinkAdjacency, x: int) -> list[int]:
@@ -127,29 +121,6 @@ def pair_monitors(g: OrientedGraph, x: int, y: int, a: int) -> bool:
     return monitors_directed(g, x, y, a) or monitors_directed(g, y, x, a)
 
 
-@dataclass(frozen=True)
-class MonitorMatrix:
-    """Tabulation of the monitoring relation over all pairs and arcs.
-
-    ``pair_arcs[i]`` is a bitmask over arc indices monitored by the i-th
-    pair in lexicographic order (``pairs[i]``).
-    """
-
-    n: int
-    m: int
-    pair_arcs: tuple[int, ...]
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(combinations(range(self.n), 2))
-
-    def pair_index(self, x: int, y: int) -> int:
-        return pair_rank(self.n, *pair_key(x, y))
-
-    def arcs_monitored_by(self, x: int, y: int) -> int:
-        return self.pair_arcs[self.pair_index(x, y)]
-
-
 # per source x, its kernel row N_x, or None where it is not built yet
 Rows = list[Optional[list[int]]]
 
@@ -163,34 +134,48 @@ def _route_rows(adj: LinkAdjacency, sources: Iterable[int], rows: Rows) -> Rows:
     return rows
 
 
-def monitor_matrix(g: OrientedGraph) -> MonitorMatrix:
-    """Build the complete monitoring matrix: one kernel BFS per source."""
-    rows = _route_rows(g.out_links, range(g.n), [None] * g.n)
-    return MonitorMatrix(g.n, g.m, tuple(upper_triangle(_pair_table(rows))))
+def pair_table(g: OrientedGraph | UndirectedGraph) -> list[list[int]]:
+    """``table[x][y]``: the bitmask of the arcs (or, undirected, the edges)
+    that the pair {x, y} monitors; symmetric, with a zero diagonal.  One
+    kernel BFS per source."""
+    adj = g.out_links if isinstance(g, OrientedGraph) else _edge_adjacency(g)
+    return _pair_table([_sole_route_row(adj, x) for x in range(g.n)])
 
 
-def is_mag_set(
-    g: OrientedGraph,
-    vertices: set[int] | frozenset[int],
-    matrix: Optional[MonitorMatrix] = None,
-) -> tuple[bool, frozenset[int]]:
+def _set_coverage(
+    adj: LinkAdjacency, m: int, members: Sequence[int], rows: Rows
+) -> tuple[dict[int, tuple[int, int]], int]:
+    """Over the pairs of the sorted distinct vertices ``members``: per link,
+    the lexicographically first pair monitoring it, and the mask of the
+    links no pair monitors.  Only the members' kernel rows are read; those
+    ``rows`` lacks are built into it."""
+    rows = _route_rows(adj, members, rows)
+    cert: dict[int, tuple[int, int]] = {}
+    left = (1 << m) - 1
+    for i, x in enumerate(members):
+        row_x = rows[x]
+        for y in members[i + 1 :]:
+            new = (row_x[y] | rows[y][x]) & left
+            left ^= new
+            while new:
+                low = new & -new
+                cert[low.bit_length() - 1] = (x, y)
+                new ^= low
+    return cert, left
+
+
+def is_mag_set(g: OrientedGraph, vertices: Iterable[int]) -> tuple[bool, frozenset[int]]:
     """Whether every arc is monitored by some pair within ``vertices``.
 
     Returns (ok, uncovered arc indices); uncovered is empty on success.
+    Only the kernel rows of ``vertices`` are built.
     """
-    for v in vertices:
+    members = sorted(set(vertices))
+    for v in members:
         if not (0 <= v < g.n):
             raise OutOfRangeError(f"vertex {v} out of range")
-    if matrix is None:
-        matrix = monitor_matrix(g)
-    covered = 0
-    members = sorted(vertices)
-    for i, x in enumerate(members):
-        for y in members[i + 1 :]:
-            covered |= matrix.arcs_monitored_by(x, y)
-    full = (1 << g.m) - 1
-    uncovered = frozenset(a for a in range(g.m) if not covered >> a & 1)
-    return covered == full, uncovered
+    left = _set_coverage(g.out_links, g.m, members, [None] * g.n)[1]
+    return not left, frozenset(a for a in range(g.m) if left >> a & 1)
 
 
 class ForcedRule(Enum):
@@ -337,17 +322,6 @@ def edge_monitors_undirected(G: UndirectedGraph, x: int, y: int, e: int) -> bool
     return bool(_sole_route_row(_edge_adjacency(G), x)[y] >> e & 1)
 
 
-def _edge_pair_table(G: UndirectedGraph) -> list[list[int]]:
-    adj = _edge_adjacency(G)
-    return _pair_table([_sole_route_row(adj, x) for x in range(G.n)])
-
-
-def undirected_monitor_pair_masks(G: UndirectedGraph) -> list[int]:
-    """Per unordered pair, in pair-rank order, the bitmask of edges it
-    monitors."""
-    return upper_triangle(_edge_pair_table(G))
-
-
 def min_meg_set(G: UndirectedGraph, max_nodes: int = 10_000_000) -> MegResult:
     """Exact minimum monitoring edge-geodetic set of a connected graph.
 
@@ -362,7 +336,7 @@ def min_meg_set(G: UndirectedGraph, max_nodes: int = 10_000_000) -> MegResult:
     problem = CoverProblem(
         n=G.n,
         full_mask=(1 << G.m) - 1,
-        rows=_edge_pair_table(G),
+        rows=pair_table(G),
         forced=forced,
         lower_bound=max(2, len(forced)),
     )

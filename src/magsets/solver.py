@@ -1,4 +1,4 @@
-"""Exact minimum MAG-set computation plus a greedy upper-bound heuristic.
+"""Exact minimum MAG-set computation.
 
 Disconnected inputs are decomposed into weakly connected components,
 solved independently, and the witnesses unioned: a pair of vertices in
@@ -10,10 +10,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .cover import CoverProblem, CoverSolution, greedy_cover, solve_cover, sweeps
+from .cover import CoverProblem, CoverSolution, solve_cover, sweeps
 from .digraph import OrientedGraph
 from .errors import BadParamError
-from .monitoring import LinkAdjacency, Rows, _pair_table, _route_rows, forced_vertices
+from .monitoring import LinkAdjacency, Rows, _pair_table, _route_rows, _set_coverage, forced_vertices
 
 
 @dataclass(frozen=True)
@@ -51,29 +51,8 @@ class MagResult:
         if not self.witness:
             return {}  # no arcs: nothing to certify, and no graph table to build
         g = self._graph
-        rows = _route_rows(g.out_links, self.witness, self._rows or [None] * g.n)
-        cert: dict[int, tuple[int, int]] = {}
-        left = (1 << g.m) - 1
-        members = sorted(self.witness)
-        for i, x in enumerate(members):
-            for y in members[i + 1 :]:
-                new = (rows[x][y] | rows[y][x]) & left
-                left ^= new
-                while new:
-                    low = new & -new
-                    cert[low.bit_length() - 1] = (x, y)
-                    new ^= low
-        return cert
-
-
-def greedy_mag_set(g: OrientedGraph) -> frozenset[int]:
-    """A valid MAG-set: forced seed, then repeatedly the vertex covering the
-    most new arcs (ties to the lowest index)."""
-    if g.m == 0:
-        return frozenset()
-    rows = _route_rows(g.out_links, range(g.n), [None] * g.n)
-    problem = CoverProblem(g.n, (1 << g.m) - 1, _pair_table(rows), forced_vertices(g).vertices)
-    return frozenset(greedy_cover(problem))
+        rows = self._rows or [None] * g.n
+        return _set_coverage(g.out_links, g.m, sorted(self.witness), rows)[0]
 
 
 def mag_lower_bound(g: OrientedGraph, forced: Optional[frozenset[int]] = None) -> int:

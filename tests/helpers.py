@@ -15,8 +15,8 @@ from magsets import (
     is_mag_set,
     mag_lower_bound,
     min_mag_set,
-    monitor_matrix,
     orient,
+    pair_table,
 )
 from magsets.cover import CoverProblem, CoverSolution, _bit_counts, coverage_of
 
@@ -59,12 +59,11 @@ def random_connected_undirected(rng: random.Random, n: int, extra: int = 2) -> U
 
 def brute_min_mag(g: OrientedGraph) -> tuple[int, tuple[int, ...]]:
     """Exhaustive minimum MAG-set; only sane for n <= 9 or so."""
-    mat = monitor_matrix(g)
     if g.m == 0:
         return 0, ()
     for k in range(2, g.n + 1):
         for combo in combinations(range(g.n), k):
-            if is_mag_set(g, combo, mat)[0]:
+            if is_mag_set(g, combo)[0]:
                 return k, combo
     raise AssertionError("full vertex set must always monitor")
 
@@ -229,26 +228,30 @@ def deletion_arc_pairs(g: OrientedGraph) -> list[set[tuple[int, int]]]:
     return arc_pairs
 
 
-def deletion_pair_masks(g: OrientedGraph) -> list[int]:
-    """Monitored-arc mask per pair x < y, in lexicographic pair order."""
-    masks = {(x, y): 0 for x, y in combinations(range(g.n), 2)}
+def deletion_pair_table(g: OrientedGraph) -> list[list[int]]:
+    """``table[x][y]``: the mask of the arcs the pair {x, y} monitors, as
+    :func:`magsets.pair_table` lays it out."""
+    table = [[0] * g.n for _ in range(g.n)]
     for a, pairs in enumerate(deletion_arc_pairs(g)):
-        for key in pairs:
-            masks[key] |= 1 << a
-    return list(masks.values())
+        for x, y in pairs:
+            table[x][y] |= 1 << a
+            table[y][x] |= 1 << a
+    return table
 
 
-def undirected_deletion_pair_masks(G: UndirectedGraph) -> list[int]:
-    """Monitored-edge mask per pair x < y, in lexicographic pair order."""
+def undirected_deletion_pair_table(G: UndirectedGraph) -> list[list[int]]:
+    """``table[x][y]``: the mask of the edges the pair {x, y} monitors, as
+    :func:`magsets.pair_table` lays it out."""
     base = [_bfs([list(ns) for ns in G.neighbors], x) for x in range(G.n)]
-    masks = {(x, y): 0 for x, y in combinations(range(G.n), 2)}
+    table = [[0] * G.n for _ in range(G.n)]
     for e in range(G.m):
         for x in range(G.n):
             avoid = distances_from_avoiding_edge(G, x, e)
             for y in range(x + 1, G.n):
                 if base[x][y] != UNREACHABLE and avoid[y] > base[x][y]:
-                    masks[(x, y)] |= 1 << e
-    return list(masks.values())
+                    table[x][y] |= 1 << e
+                    table[y][x] |= 1 << e
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +327,10 @@ def set_is_extremal(g: OrientedGraph) -> tuple[bool, int | None]:
 # budget stops included.
 
 
-def pair_rows(n: int, pair_masks: Sequence[int]) -> list[list[int]]:
-    """Per-vertex lookup: ``rows[v][c]`` is the mask of pair {v, c}, from
-    the masks of the pairs in pair-rank order."""
-    rows = [[0] * n for _ in range(n)]
-    r = 0
-    for x in range(n):
-        row_x = rows[x]
-        for y in range(x + 1, n):
-            row_x[y] = rows[y][x] = pair_masks[r]
-            r += 1
-    return rows
+def mag_problem(g: OrientedGraph, forced: frozenset[int], lower: int) -> CoverProblem:
+    """The MAG cover problem of ``g`` (with an arc): its whole pair table,
+    seeded with ``forced`` and bounded below by ``lower``."""
+    return CoverProblem(g.n, (1 << g.m) - 1, pair_table(g), forced, lower)
 
 
 class _Budget:
@@ -362,7 +358,7 @@ def solve_cover_sweep(problem: CoverProblem, max_nodes: int = 10_000_000) -> Cov
     base = coverage_of(problem, forced)
     if base == problem.full_mask and len(forced) >= problem.lower_bound:
         return CoverSolution(len(forced), forced, True, 0, len(forced))
-    rows = pair_rows(problem.n, problem.pair_masks)
+    rows = problem.rows
     with_forced = {v: 0 for v in free}
     for v in free:
         acc = 0
@@ -430,7 +426,7 @@ def solve_cover_branch_bound(
     if root_cov == full and len(forced) < len(best):
         return CoverSolution(len(forced), forced, True, 1, len(forced))  # the root is a cover
 
-    rows = pair_rows(n, problem.pair_masks)
+    rows = problem.rows
     # the most-constrained uncovered target is the first uncovered one in
     # this order: fewest admissible pairs, ties to the lowest index
     counts = _bit_counts(problem.pair_masks, full.bit_length())

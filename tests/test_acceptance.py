@@ -27,7 +27,6 @@ from magsets import (
     mag_plus_at_least_n,
     min_mag_set,
     min_meg_set,
-    monitor_matrix,
     monitors_directed,
     monitors_directed_by_counting,
     orient,
@@ -184,10 +183,9 @@ def test_c05_extremal_characterization():
         for g in all_oriented_graphs(n):
             if g.m == 0 or not g.is_weakly_connected():
                 continue
-            mat = monitor_matrix(g)
             # mag < n iff dropping some single vertex still monitors all arcs
             has_smaller = any(
-                is_mag_set(g, [u for u in range(n) if u != v], mat)[0]
+                is_mag_set(g, [u for u in range(n) if u != v])[0]
                 for v in range(n)
             )
             assert is_extremal(g)[0] == (not has_smaller), g.arcs
@@ -321,9 +319,8 @@ def test_c10_property_suite():
         g = random_connected_oriented(rng, rng.randint(3, 7))
         forced = forced_vertices(g).vertices
         size, _ = brute_min_mag(g)
-        mat = monitor_matrix(g)
         for combo in combinations(range(g.n), size):
-            if is_mag_set(g, combo, mat)[0]:
+            if is_mag_set(g, combo)[0]:
                 assert forced <= set(combo), g.arcs
         cases += 1
 

@@ -106,11 +106,19 @@ def test_spectrum_command(capsys, monkeypatch):
     ["verify", "thm32", "--max-n", "1"],
     ["verify", "thm32", "--max-n", "0"],
     ["verify", "thm32", "--max-n", "-3"],
+    ["verify", "family", "--max-n", "2"],
+    ["verify", "family", "--max-n", "0"],
+    ["verify", "thm32", "--samples", "0"],
+    ["verify", "thm32", "--samples", "-5"],
+    ["reduce", "vertexcover", "-", "--k", "-1"],
+    ["verify", "vc", "-", "--k", "-1"],
 ])
 def test_bad_threads_and_edge_cap_exit_2(capsys, monkeypatch, argv):
     # a worker count below 1 does not mean a serial scan, a negative edge
     # cap is not a cap that the graph exceeds, a budget below 1 allows no
-    # search node, and thm32 draws graphs of 2 to --max-n vertices
+    # search node, thm32 draws graphs of 2 to --max-n vertices and family
+    # checks n = 3 up, no samples check nothing, and a cover has no
+    # negative size
     with pytest.raises(SystemExit) as exc:
         run(capsys, monkeypatch, argv, C6_UNDIRECTED)
     assert exc.value.code == 2

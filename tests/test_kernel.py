@@ -1,7 +1,7 @@
-"""The shortest-path-DAG monitoring kernel against the deletion and
-path-counting oracles; the bitset forcing rules, the trusted orientation,
-the lazy certificate, the parallel spectrum and the cover searches against
-their references; the MEG optimality flag, the shared budget fallback and
+"""The shortest-path-DAG monitoring kernel and the set check against the
+deletion and path-counting oracles; the bitset forcing rules, the trusted
+orientation, the lazy certificate, the parallel spectrum and the cover
+searches against their references; the MEG optimality flag, the shared budget fallback and
 CLI input handling."""
 import copy
 import io
@@ -21,38 +21,39 @@ from magsets import (
     UndirectedGraph,
     edge_monitors_undirected,
     forced_vertices,
-    greedy_mag_set,
     is_extremal,
+    is_mag_set,
     min_mag_set,
     min_meg_set,
-    monitor_matrix,
     monitors_directed,
     monitors_directed_by_counting,
     orient,
+    pair_table,
     spectrum,
     write_edge_list,
 )
+from magsets import monitoring
 from magsets.cli import build_parser, main
 from magsets.cover import (
     CoverProblem,
     greedy_cover,
-    pair_rank,
     solve_cover_branch_bound,
     solve_cover_sweep,
     sweeps,
 )
-from magsets.monitoring import undirected_monitor_pair_masks
+from magsets.families import directed_path
 
 import helpers
 from helpers import (
     cycle_with_chord,
-    deletion_pair_masks,
-    pair_rows,
+    deletion_arc_pairs,
+    deletion_pair_table,
+    mag_problem,
     random_connected_undirected,
     random_oriented,
     set_forced_reasons,
     set_is_extremal,
-    undirected_deletion_pair_masks,
+    undirected_deletion_pair_table,
 )
 
 
@@ -90,46 +91,75 @@ def test_monitoring_survives_pickle_and_deepcopy(g):
     before = _answers(g)
     for h in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
         assert _answers(h) == before
-        assert monitor_matrix(h) == monitor_matrix(g)
+        assert pair_table(h) == pair_table(g)
 
 
 @settings(max_examples=60, deadline=None)
 @given(oriented_graphs())
 def test_matrix_matches_deletion_oracle(g):
-    assert list(monitor_matrix(g).pair_arcs) == deletion_pair_masks(g)
+    assert pair_table(g) == deletion_pair_table(g)
+
+
+def _counting_pair_table(g: OrientedGraph) -> list[list[int]]:
+    """``table[x][y]``: the arcs that the path-counting test puts on every
+    shortest x->y or y->x path."""
+    def monitors(x: int, y: int, a: int) -> bool:
+        return monitors_directed_by_counting(g, x, y, a) or monitors_directed_by_counting(g, y, x, a)
+
+    return [
+        [sum(1 << a for a in range(g.m) if x != y and monitors(x, y, a)) for y in range(g.n)]
+        for x in range(g.n)
+    ]
 
 
 @settings(max_examples=30, deadline=None)
 @given(oriented_graphs(max_n=9))
 def test_matrix_matches_counting_oracle(g):
-    mat = monitor_matrix(g)
-    for p, (x, y) in enumerate(mat.pairs):
-        for a in range(g.m):
-            counted = monitors_directed_by_counting(g, x, y, a) or monitors_directed_by_counting(
-                g, y, x, a
-            )
-            assert bool(mat.pair_arcs[p] >> a & 1) == counted
+    assert pair_table(g) == _counting_pair_table(g)
 
 
 @settings(max_examples=60, deadline=None)
 @given(oriented_graphs())
 def test_undirected_masks_match_deletion_oracle(g):
     G = g.underlying()
-    masks = undirected_monitor_pair_masks(G)
-    assert masks == undirected_deletion_pair_masks(G)
-    for p, (x, y) in enumerate(combinations(range(G.n), 2)):
+    table = pair_table(G)
+    assert table == undirected_deletion_pair_table(G)
+    for x, y in combinations(range(G.n), 2):
         for e in range(G.m):
-            assert edge_monitors_undirected(G, x, y, e) == bool(masks[p] >> e & 1)
+            assert edge_monitors_undirected(G, x, y, e) == bool(table[x][y] >> e & 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(oriented_graphs(), st.data())
+def test_is_mag_set_uncovered_matches_deletion_oracle(g, data):
+    keep = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    inside = {v for v, k in enumerate(keep) if k}
+    members = data.draw(st.permutations(sorted(inside)))  # in any order
+    uncovered = frozenset(
+        a for a, pairs in enumerate(deletion_arc_pairs(g)) if not any({x, y} <= inside for x, y in pairs)
+    )
+    for vertices in (members, tuple(members), iter(members)):  # read once, in any form
+        assert is_mag_set(g, vertices) == (not uncovered, uncovered)
+
+
+def test_is_mag_set_builds_only_its_rows(monkeypatch):
+    # the two ends of the 600-vertex directed path monitor every arc:
+    # checking them builds their two kernel rows, not the whole table's 600
+    sources = []
+    row = monitoring._sole_route_row
+    monkeypatch.setattr(monitoring, "_sole_route_row", lambda adj, x: sources.append(x) or row(adj, x))
+    assert is_mag_set(directed_path(600), (0, 599)) == (True, frozenset())
+    assert sorted(sources) == [0, 599]
 
 
 C8_CHORD = UndirectedGraph(8, tuple((i, (i + 1) % 8) for i in range(8)) + ((0, 4),))
 
 
 def _is_meg_set(G: UndirectedGraph, witness) -> bool:
-    masks = undirected_deletion_pair_masks(G)
+    table = undirected_deletion_pair_table(G)
     covered = 0
     for x, y in combinations(sorted(witness), 2):
-        covered |= masks[pair_rank(G.n, x, y)]
+        covered |= table[x][y]
     return covered == (1 << G.m) - 1
 
 
@@ -150,10 +180,7 @@ def test_meg_branch_and_bound_starts_from_all_vertices():
         G = random_connected_undirected(random.Random(seed), 40, extra=5)
         forced = frozenset(v for v in range(G.n) if G.degree(v) == 1)
         assert G.n - len(forced) > 24
-        problem = CoverProblem(
-            G.n, (1 << G.m) - 1, pair_rows(G.n, undirected_monitor_pair_masks(G)), forced,
-            max(2, len(forced)),
-        )
+        problem = CoverProblem(G.n, (1 << G.m) - 1, pair_table(G), forced, max(2, len(forced)))
         expected = solve_cover_branch_bound(problem)
         res = min_meg_set(G)
         assert res.optimal and expected.optimal
@@ -163,8 +190,9 @@ def test_meg_branch_and_bound_starts_from_all_vertices():
 def test_budget_fallback_keeps_greedy_on_both_strategies():
     for n, sweep in [(8, True), (30, False)]:
         g = cycle_with_chord(n, n // 2)
-        greedy = greedy_mag_set(g)
-        assert len(greedy) == 3 and sweeps(g.n, len(forced_vertices(g).vertices)) == sweep
+        forced = forced_vertices(g).vertices
+        greedy = greedy_cover(mag_problem(g, forced, 0))
+        assert len(greedy) == 3 and sweeps(g.n, len(forced)) == sweep
         res = min_mag_set(g, SolverConfig(max_nodes=1))
         assert not res.optimal and res.witness == tuple(sorted(greedy))
 
@@ -244,11 +272,11 @@ def test_orient_equals_validated_graph(case):
 def _eager_certificate(g: OrientedGraph, witness) -> dict[int, tuple[int, int]]:
     """Per arc, the first witness pair in lexicographic order whose
     deletion-oracle mask holds it."""
-    masks = deletion_pair_masks(g)
+    table = deletion_pair_table(g)
     cert: dict[int, tuple[int, int]] = {}
     for x, y in combinations(sorted(witness), 2):
         for a in range(g.m):
-            if a not in cert and masks[pair_rank(g.n, x, y)] >> a & 1:
+            if a not in cert and table[x][y] >> a & 1:
                 cert[a] = (x, y)
     return cert
 
@@ -317,8 +345,7 @@ def cover_problems(draw) -> CoverProblem:
     assume(g.m > 0)
     forced = forced_vertices(g).vertices if draw(st.booleans()) else frozenset()
     lower = draw(st.sampled_from((0, 2, len(forced))))
-    rows = pair_rows(g.n, monitor_matrix(g).pair_arcs)
-    return CoverProblem(g.n, (1 << g.m) - 1, rows, forced, lower)
+    return mag_problem(g, forced, lower)
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,10 +9,10 @@ from magsets import (
     is_extremal,
     is_mag_set,
     min_meg_set,
-    monitor_matrix,
     monitors_directed,
     monitors_directed_by_counting,
     pair_monitors,
+    pair_table,
 )
 from magsets.families import (
     construction_gj,
@@ -61,18 +61,18 @@ def test_antipodal_pair_fails_both_directions():
         assert not pair_monitors(g, 1, 5, a)
 
 
-def test_monitor_matrix_transpose_consistency():
+def test_pair_table_transpose_consistency():
     rng = random.Random(9)
     for _ in range(25):
         g = random_connected_oriented(rng, 6)
-        mat = monitor_matrix(g)
+        table = pair_table(g)
         arc_pairs = deletion_arc_pairs(g)
         for a in range(g.m):
             covered = arc_pairs[a]
-            for p, (x, y) in enumerate(mat.pairs):
+            for x, y in combinations(range(g.n), 2):
                 bit = (x, y) in covered
                 assert bit == pair_monitors(g, x, y, a)
-                assert bit == bool(mat.pair_arcs[p] >> a & 1)
+                assert bit == bool(table[x][y] >> a & 1) == bool(table[y][x] >> a & 1)
 
 
 def test_is_mag_set_reports_uncovered():

@@ -13,15 +13,13 @@ from magsets import (
     OrientedGraph,
     SolverConfig,
     forced_vertices,
-    greedy_mag_set,
     is_mag_set,
     mag_lower_bound,
     min_mag_set,
-    monitor_matrix,
     orient,
     parse_edge_list,
 )
-from magsets.cover import CoverProblem, greedy_cover, solve_cover_branch_bound, solve_cover_sweep, sweeps
+from magsets.cover import greedy_cover, solve_cover_branch_bound, solve_cover_sweep, sweeps
 from magsets.families import (
     cycle_c0,
     cycle_c1,
@@ -36,7 +34,7 @@ import helpers
 from helpers import (
     brute_min_mag,
     cycle_with_chord,
-    pair_rows,
+    mag_problem,
     random_connected_oriented,
     random_connected_undirected,
     random_oriented,
@@ -66,10 +64,7 @@ def test_strategies_agree():
     for _ in range(20):
         g = random_connected_oriented(rng, 7)
         forced = forced_vertices(g).vertices
-        problem = CoverProblem(
-            g.n, (1 << g.m) - 1, pair_rows(g.n, monitor_matrix(g).pair_arcs), forced,
-            mag_lower_bound(g, forced),
-        )
+        problem = mag_problem(g, forced, mag_lower_bound(g, forced))
         sweep, bnb = solve_cover_sweep(problem), solve_cover_branch_bound(problem)
         assert sweep.optimal and bnb.optimal
         assert sweep.size == bnb.size == min_mag_set(g).size
@@ -133,8 +128,7 @@ def test_branch_bound_matches_reference_on_golden_graphs(seed):
     G = random_connected_undirected(rng, 40, extra=31)
     g = orient(G, rng.getrandbits(G.m))
     forced = forced_vertices(g).vertices
-    rows = pair_rows(g.n, monitor_matrix(g).pair_arcs)
-    problem = CoverProblem(g.n, (1 << g.m) - 1, rows, forced, mag_lower_bound(g, forced))
+    problem = mag_problem(g, forced, mag_lower_bound(g, forced))
     known = greedy_cover(problem)
     whole = helpers.solve_cover_branch_bound(problem, 20_000, known)
     assert (whole.size, whole.nodes, whole.optimal, whole.witness) == GOLDEN_SEARCHES[seed]
@@ -207,7 +201,7 @@ def test_greedy_is_valid_upper_bound():
     rng = random.Random(47)
     for _ in range(25):
         g = random_connected_oriented(rng, 7)
-        witness = greedy_mag_set(g)
+        witness = greedy_cover(mag_problem(g, forced_vertices(g).vertices, 0))
         assert is_mag_set(g, witness)[0]
         assert len(witness) >= min_mag_set(g).size
 

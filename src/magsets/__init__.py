@@ -48,12 +48,10 @@ from .formats import parse_edge_list, to_dot, write_edge_list
 from .monitoring import (
     ForcedReport,
     ForcedRule,
-    MegResult,
     edge_monitors_undirected,
     forced_vertices,
     is_extremal,
     is_mag_set,
-    min_meg_set,
     monitors_directed,
     monitors_directed_by_counting,
     pair_monitors,
@@ -74,7 +72,7 @@ from .reductions import (
     verify_vc_reduction,
     write_nae3sat,
 )
-from .solver import MagResult, SolverConfig, mag_lower_bound, min_mag_set
+from .solver import MagResult, MegResult, mag_lower_bound, min_mag_set, min_meg_set
 from .spectrum import SpectrumResult, mag_plus_at_least_n, orient, spectrum
 
 __version__ = "0.1.0"

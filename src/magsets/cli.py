@@ -16,6 +16,7 @@ import time
 from typing import NoReturn, Optional
 
 from . import __version__
+from .cover import DEFAULT_BUDGET
 from .digraph import OrientedGraph, UndirectedGraph
 from .errors import (
     BudgetExceededError,
@@ -35,7 +36,7 @@ from .families import (
     transitive_tournament,
 )
 from .formats import parse_edge_list, to_dot, write_edge_list
-from .monitoring import forced_vertices, is_extremal, min_meg_set
+from .monitoring import forced_vertices, is_extremal
 from .reductions import (
     VertexCoverInstance,
     nae3sat_to_graph,
@@ -44,7 +45,7 @@ from .reductions import (
     verify_nae_reduction,
     verify_vc_reduction,
 )
-from .solver import SolverConfig, min_mag_set
+from .solver import min_mag_set, min_meg_set
 from .spectrum import DEFAULT_EDGE_CAP, mag_plus_at_least_n, spectrum
 
 SCHEMA = 1
@@ -86,10 +87,6 @@ def _emit(report: dict, started: float) -> None:
     sys.stdout.write("\n")
 
 
-def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(max_nodes=args.budget)
-
-
 def _need_directed(graph) -> OrientedGraph:
     if not isinstance(graph, OrientedGraph):
         raise ParseError("a directed edge list is required")
@@ -102,11 +99,19 @@ def _need_undirected(graph) -> UndirectedGraph:
     return graph
 
 
+def _vc_instance(args: argparse.Namespace, G: UndirectedGraph) -> VertexCoverInstance:
+    """The vertex-cover instance (G, --k).  A --k above n is a bad flag, as
+    a negative one is, so it exits 2 through the command's parser."""
+    if args.k > G.n:
+        args.usage_error(f"argument --k: must be at least 0 and at most n = {G.n}, got {args.k}")
+    return VertexCoverInstance(G, args.k)
+
+
 def cmd_mag(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     text = _read_input(args.input)
     g = _need_directed(parse_edge_list(text))
-    res = min_mag_set(g, _solver_config(args))
+    res = min_mag_set(g, args.budget)
     report = _report(
         args,
         text,
@@ -127,7 +132,7 @@ def cmd_meg(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     text = _read_input(args.input)
     G = _need_undirected(parse_edge_list(text))
-    res = min_meg_set(G, max_nodes=args.budget)
+    res = min_meg_set(G, args.budget)
     _emit(
         _report(
             args,
@@ -146,7 +151,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     G = _need_undirected(parse_edge_list(text))
     sp = spectrum(
         G,
-        _solver_config(args),
+        args.budget,
         max_edges=args.max_edges,
         threads=args.threads,
         stop_at_two=args.stop_at_two,
@@ -248,7 +253,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         art = nae3sat_to_graph(parse_nae3sat(text))
     else:
         G = _need_undirected(parse_edge_list(text))
-        art = vc_to_mag_instance(VertexCoverInstance(G, args.k))
+        art = vc_to_mag_instance(_vc_instance(args, G))
     comments = [f"role {v} {label}" for v, label in sorted(art.roles.items())]
     if art.target is not None:
         comments.append(f"target {art.target}")
@@ -269,7 +274,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.check == "vc":
         text = _read_input(args.input)
         G = _need_undirected(parse_edge_list(text))
-        ok = verify_vc_reduction(VertexCoverInstance(G, args.k), _solver_config(args))
+        ok = verify_vc_reduction(_vc_instance(args, G), args.budget)
         _emit(_report(args, text, {"verified": ok}), started)
         return 0 if ok else 1
     if args.check == "family":
@@ -287,7 +292,6 @@ def _verify_family_forms(args: argparse.Namespace) -> list[str]:
     """Closed-form spot checks for every generated family at small sizes."""
     from .families import cycle_c0, cycle_c1, cycle_c2, cycle_c3
 
-    cfg = _solver_config(args)
     failures = []
 
     def check(label: str, got: int, want: int) -> None:
@@ -295,20 +299,20 @@ def _verify_family_forms(args: argparse.Namespace) -> list[str]:
             failures.append(f"{label}: got {got}, want {want}")
 
     for n in range(3, args.max_n + 1):
-        check(f"C_{n}^0", min_mag_set(cycle_c0(n), cfg).size, 2)
+        check(f"C_{n}^0", min_mag_set(cycle_c0(n), args.budget).size, 2)
         if n % 2 == 0:
-            check(f"C_{n}^1", min_mag_set(cycle_c1(n), cfg).size, 4)
+            check(f"C_{n}^1", min_mag_set(cycle_c1(n), args.budget).size, 4)
         for d in range(1, n):
             if 2 * d != n:
-                check(f"C_{n}^2(d={d})", min_mag_set(cycle_c2(n, d), cfg).size, 3)
+                check(f"C_{n}^2(d={d})", min_mag_set(cycle_c2(n, d), args.budget).size, 3)
         if n >= 5:
             g = cycle_c3(n, [0, 2])
             src, snk = g.sources_and_sinks()
-            check(f"C_{n}^3", min_mag_set(g, cfg).size, len(src) + len(snk))
+            check(f"C_{n}^3", min_mag_set(g, args.budget).size, len(src) + len(snk))
     for n in range(3, args.max_n + 1):
-        check(f"transitive K_{n}", min_mag_set(transitive_tournament(n), cfg).size, n)
-        check(f"flipped K_{n}", min_mag_set(flipped_tournament(n), cfg).size, n - 1)
-        check(f"directed P_{n}", min_mag_set(directed_path(n), cfg).size, 2)
+        check(f"transitive K_{n}", min_mag_set(transitive_tournament(n), args.budget).size, n)
+        check(f"flipped K_{n}", min_mag_set(flipped_tournament(n), args.budget).size, n - 1)
+        check(f"directed P_{n}", min_mag_set(directed_path(n), args.budget).size, 2)
     return failures
 
 
@@ -317,7 +321,6 @@ def _verify_extremal_random(args: argparse.Namespace) -> list[str]:
     import random
 
     rng = random.Random(args.seed)
-    cfg = _solver_config(args)
     failures = []
     done = 0
     while done < args.samples:
@@ -334,7 +337,7 @@ def _verify_extremal_random(args: argparse.Namespace) -> list[str]:
         if g.m == 0 or not g.is_weakly_connected():
             continue
         done += 1
-        if is_extremal(g)[0] != (min_mag_set(g, cfg).size == g.n):
+        if is_extremal(g)[0] != (min_mag_set(g, args.budget).size == g.n):
             failures.append(f"mismatch on arcs={g.arcs}")
     return failures
 
@@ -361,11 +364,11 @@ def _int_at_least(least: int):
 # the arguments shared by the analysis commands; each command takes the ones it reads
 _OPTIONS = {
     "input": dict(nargs="?", default="-", help="input file or '-' for stdin"),
-    "--budget": dict(type=_int_at_least(1), default=10_000_000, help="search-node budget"),
+    "--budget": dict(type=_int_at_least(1), default=DEFAULT_BUDGET, help="search-node budget"),
     "--max-edges": dict(type=_int_at_least(0), default=DEFAULT_EDGE_CAP, help="orientation-enumeration cap"),
     "--threads": dict(type=_int_at_least(1), default=1, help="spectrum worker processes (1 = serial)"),
     "--seed": dict(type=int, default=0),
-    "--max-n": dict(type=_int_at_least(2), default=7, help="size cap of the sweep"),
+    "--max-n": dict(type=_int_at_least(2), default=7, help="largest n checked"),
 }
 
 
@@ -426,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--k", type=_int_at_least(0), default=0, help="vertex-cover budget")
     p.add_argument("--format", choices=["edgelist", "dot"], default="edgelist")
-    p.set_defaults(func=cmd_reduce)
+    p.set_defaults(func=cmd_reduce, usage_error=p.error)
 
     p = sub.add_parser("verify", help="cross-check a reduction or closed form against oracles")
     p.set_defaults(func=cmd_verify)
@@ -436,6 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = checks.add_parser("vc", help="vertex-cover gadget against brute force")
     _add_common(c, "input", "--budget")
     c.add_argument("--k", type=_int_at_least(0), default=0, help="vertex-cover budget")
+    c.set_defaults(usage_error=c.error)
     c = checks.add_parser("family", help="closed forms of the generated families")
     _add_common(c, "--budget")
     # every family starts at n = 3, so a smaller cap would check nothing

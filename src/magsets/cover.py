@@ -43,6 +43,15 @@ from typing import Optional, Sequence
 
 from .errors import BadParamError
 
+# the search-node budget of every solve that is not given one
+DEFAULT_BUDGET = 10_000_000
+
+
+def check_budget(max_nodes: int) -> None:
+    """Reject a node budget below 1: every search enters at least one node."""
+    if max_nodes <= 0:
+        raise BadParamError("node budget must be positive")
+
 
 @dataclass(frozen=True)
 class CoverProblem:
@@ -90,15 +99,14 @@ def coverage_of(problem: CoverProblem, vertices: tuple[int, ...] | list[int]) ->
 
 
 def solve_cover_sweep(
-    problem: CoverProblem, max_nodes: int = 10_000_000, stop: Optional[int] = None
+    problem: CoverProblem, max_nodes: int = DEFAULT_BUDGET, stop: Optional[int] = None
 ) -> CoverSolution:
     """Smallest superset of the forced set covering everything, tried level
     by level from the lower bound.  With ``stop`` the sweep gives up before
     that level: the solution is then all n vertices, not optimal, with
     ``lower`` = ``stop``.  When the budget runs out, ``lower`` is the level
     it reached, since every smaller level has been searched in full."""
-    if max_nodes <= 0:
-        raise BadParamError("node budget must be positive")
+    check_budget(max_nodes)
     full = problem.full_mask
     forced = tuple(sorted(problem.forced))
     free = [v for v in range(problem.n) if v not in problem.forced]
@@ -192,7 +200,7 @@ def _bit_counts(masks: Sequence[int], width: int) -> list[int]:
 
 def solve_cover_branch_bound(
     problem: CoverProblem,
-    max_nodes: int = 10_000_000,
+    max_nodes: int = DEFAULT_BUDGET,
     upper_witness: Sequence[int] | None = None,
 ) -> CoverSolution:
     """Branch over the admissible pairs of a most-constrained uncovered
@@ -208,8 +216,7 @@ def solve_cover_branch_bound(
     a path, so its position is handed down.  Neither changes the node
     counts, the visit order, the witnesses or the node where a budget
     stops."""
-    if max_nodes <= 0:
-        raise BadParamError("node budget must be positive")
+    check_budget(max_nodes)
     n = problem.n
     full = problem.full_mask
     forced = tuple(sorted(problem.forced))
@@ -328,7 +335,7 @@ def sweeps(n: int, forced: int) -> bool:
 
 def solve_cover(
     problem: CoverProblem,
-    max_nodes: int = 10_000_000,
+    max_nodes: int = DEFAULT_BUDGET,
     greedy_incumbent: bool = True,
     stop: Optional[int] = None,
 ) -> CoverSolution:

@@ -75,16 +75,6 @@ class OrientedGraph:
             seen_pairs.add(pair)
         object.__setattr__(self, "arcs", tuple(sorted(self.arcs, key=_arc_sort_key)))
 
-    @classmethod
-    def _canonical(cls, n: int, arcs: tuple[tuple[int, int], ...]) -> "OrientedGraph":
-        """Wrap arcs that are already valid and in canonical order (such as an
-        orientation of an :class:`UndirectedGraph`'s edges) without checking
-        or sorting them again."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "arcs", arcs)
-        return g
-
     @property
     def m(self) -> int:
         return len(self.arcs)

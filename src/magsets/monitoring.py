@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .cover import CoverProblem, solve_cover
 from .digraph import UNREACHABLE, OrientedGraph, UndirectedGraph
 from .errors import DisconnectedInputError, EqualVerticesError, OutOfRangeError
 
@@ -305,42 +304,7 @@ def _first_unbypassed(ins: Masks, outs: Masks, in_list: Lists, out_list: Lists) 
 # Undirected analogue (MEG)
 
 
-@dataclass(frozen=True)
-class MegResult:
-    """Minimum MEG-set size and one witness; ``optimal`` is False when the
-    node budget ran out before the size was proven."""
-
-    size: int
-    witness: tuple[int, ...]
-    optimal: bool
-    nodes: int
-
-
 def edge_monitors_undirected(G: UndirectedGraph, x: int, y: int, e: int) -> bool:
     """True iff edge ``e`` lies on all shortest undirected x-y paths."""
     _check_query(G.n, x, y, e, G.m, "edge")
     return bool(_sole_route_row(_edge_adjacency(G), x)[y] >> e & 1)
-
-
-def min_meg_set(G: UndirectedGraph, max_nodes: int = 10_000_000) -> MegResult:
-    """Exact minimum monitoring edge-geodetic set of a connected graph.
-
-    The search is seeded with all degree-1 vertices, which belong to every
-    MEG-set; otherwise it reuses the oriented solver's cover engine.
-    """
-    if not G.is_connected():
-        raise DisconnectedInputError("MEG solver requires a connected graph")
-    if G.m == 0:
-        return MegResult(0, (), True, 0)
-    forced = frozenset(v for v in range(G.n) if G.degree(v) == 1)
-    problem = CoverProblem(
-        n=G.n,
-        full_mask=(1 << G.m) - 1,
-        rows=pair_table(G),
-        forced=forced,
-        lower_bound=max(2, len(forced)),
-    )
-    # branch-and-bound starts from all n vertices, not from the greedy, so
-    # a proven witness is the first optimal cover in search order
-    solution = solve_cover(problem, max_nodes, greedy_incumbent=False)
-    return MegResult(solution.size, tuple(sorted(solution.witness)), solution.optimal, solution.nodes)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Union
 
+from .cover import DEFAULT_BUDGET, check_budget
 from .digraph import OrientedGraph, UndirectedGraph
 from .errors import (
     BadParamError,
@@ -25,7 +26,7 @@ from .errors import (
     ParseError,
     TooLargeError,
 )
-from .solver import SolverConfig, min_mag_set
+from .solver import min_mag_set
 from .spectrum import DEFAULT_EDGE_CAP, mag_plus_at_least_n
 
 
@@ -239,17 +240,19 @@ def brute_vertex_cover(
 
 
 def verify_vc_reduction(
-    inst: VertexCoverInstance, cfg: Optional[SolverConfig] = None, max_size: int = 12
+    inst: VertexCoverInstance, max_nodes: int = DEFAULT_BUDGET, max_size: int = 12
 ) -> bool:
     """Does [the gadget has a MAG-set of size <= k + 2n + 2m] match the
     brute vertex-cover verdict?  Raises :class:`BudgetExceededError` when
-    the budget runs out before a MAG-set within the target is found."""
+    the ``max_nodes`` search budget runs out before a MAG-set within the
+    target is found."""
+    check_budget(max_nodes)
     G = inst.graph
     if G.n + G.m > max_size:
         raise TooLargeError(f"n + m = {G.n + G.m} exceeds the practical cap of {max_size}")
     art = vc_to_mag_instance(inst)
     assert isinstance(art.graph, OrientedGraph) and art.target is not None
-    result = min_mag_set(art.graph, cfg or SolverConfig())
+    result = min_mag_set(art.graph, max_nodes)
     if not result.optimal and result.size > art.target:
         raise BudgetExceededError(f"search budget exhausted before a MAG-set of size <= {art.target}")
     cover_exists, _ = brute_vertex_cover(inst)

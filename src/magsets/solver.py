@@ -1,8 +1,10 @@
-"""Exact minimum MAG-set computation.
+"""Exact minimum MAG-sets of oriented graphs and MEG-sets of undirected
+graphs: both are covers by vertex pairs of the monitoring kernel's table.
 
-Disconnected inputs are decomposed into weakly connected components,
-solved independently, and the witnesses unioned: a pair of vertices in
-different components monitors nothing, so the problem is additive.
+Disconnected oriented inputs are decomposed into weakly connected
+components, solved independently, and the witnesses unioned: a pair of
+vertices in different components monitors nothing, so the problem is
+additive.
 """
 from __future__ import annotations
 
@@ -10,19 +12,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .cover import CoverProblem, CoverSolution, solve_cover, sweeps
-from .digraph import OrientedGraph
-from .errors import BadParamError
-from .monitoring import LinkAdjacency, Rows, _pair_table, _route_rows, _set_coverage, forced_vertices
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    max_nodes: int = 10_000_000
-
-    def __post_init__(self) -> None:
-        if self.max_nodes <= 0:
-            raise BadParamError("node budget must be positive")
+from .cover import DEFAULT_BUDGET, CoverProblem, CoverSolution, check_budget, solve_cover, sweeps
+from .digraph import OrientedGraph, UndirectedGraph
+from .errors import DisconnectedInputError
+from .monitoring import LinkAdjacency, Rows, _pair_table, _route_rows, _set_coverage, forced_vertices, pair_table
 
 
 @dataclass(frozen=True)
@@ -72,18 +65,19 @@ def _mag_floor(n: int, m: int) -> int:
 
 
 def _solve_connected(
-    n: int, m: int, adj: LinkAdjacency, cfg: SolverConfig, forced: frozenset[int], lower: int,
-    stop: Optional[int] = None,
+    n: int, m: int, adj: LinkAdjacency, forced: frozenset[int], lower: int,
+    max_nodes: int = DEFAULT_BUDGET, stop: Optional[int] = None,
 ) -> tuple[CoverSolution, Rows]:
     """The cover solution, and the kernel rows built, of the connected graph
     on n vertices and m arcs with out-links ``adj``: bound by ``lower`` and
-    searched from the caller's forced set F, which is in every MAG-set, with
-    ``stop`` as in :func:`solve_cover`.  The search's first level is F
-    alone, which needs only F's own kernel rows, so those are built first:
-    when the pairs inside F cover every arc, F is the optimum, and when a
-    sweep would give up right after F, nothing more is needed.  Otherwise
-    the rows are completed into the pair table and searched; the greedy
-    cover is built only if the search asks for it."""
+    searched from the caller's forced set F, which is in every MAG-set,
+    within ``max_nodes`` search nodes and with ``stop`` as in
+    :func:`solve_cover`.  The search's first level is F alone, which needs
+    only F's own kernel rows, so those are built first: when the pairs
+    inside F cover every arc, F is the optimum, and when a sweep would give
+    up right after F, nothing more is needed.  Otherwise the rows are
+    completed into the pair table and searched; the greedy cover is built
+    only if the search asks for it."""
     full = (1 << m) - 1
     rows = _route_rows(adj, forced, [None] * n)
     k = len(forced)
@@ -101,20 +95,21 @@ def _solve_connected(
             # the sweep's result when it gives up after one node, F itself
             return CoverSolution(n, tuple(range(n)), False, 1, stop), rows
     problem = CoverProblem(n, full, _pair_table(_route_rows(adj, range(n), rows)), forced, lower)
-    return solve_cover(problem, max_nodes=cfg.max_nodes, stop=stop), rows
+    return solve_cover(problem, max_nodes, stop=stop), rows
 
 
-def min_mag_set(g: OrientedGraph, cfg: Optional[SolverConfig] = None) -> MagResult:
-    """Exact minimum MAG-set with certificate; deterministic for a fixed
-    config.  A graph with no arcs has mag 0 and an empty witness."""
-    cfg = cfg or SolverConfig()
+def min_mag_set(g: OrientedGraph, max_nodes: int = DEFAULT_BUDGET) -> MagResult:
+    """Exact minimum MAG-set with certificate, searched within ``max_nodes``
+    nodes; deterministic for a fixed budget.  A graph with no arcs has mag 0
+    and an empty witness."""
+    check_budget(max_nodes)
     if g.m == 0:
         return MagResult(0, (), frozenset(), True, 0, 0, _graph=g)
     comps = g.components()
     if len(comps) == 1:
         forced = forced_vertices(g).vertices
         lower = mag_lower_bound(g, forced)
-        sol, rows = _solve_connected(g.n, g.m, g.out_links, cfg, forced, lower)
+        sol, rows = _solve_connected(g.n, g.m, g.out_links, forced, lower, max_nodes)
         return MagResult(sol.size, sol.witness, forced, sol.optimal, sol.nodes, sol.lower, _graph=g, _rows=rows)
     # solve per component and merge through the vertex relabeling; pairs
     # across components monitor nothing, so the coverage of the merged
@@ -129,7 +124,7 @@ def min_mag_set(g: OrientedGraph, cfg: Optional[SolverConfig] = None) -> MagResu
         local = {v: i for i, v in enumerate(verts)}
         sub_arcs = [(local[u], local[v]) for u, v in g.arcs if u in comp]
         sub = OrientedGraph(len(verts), tuple(sub_arcs))
-        res = min_mag_set(sub, cfg)
+        res = min_mag_set(sub, max_nodes)
         size += res.size
         witness.extend(verts[v] for v in res.witness)
         forced_all.update(verts[v] for v in res.forced)
@@ -137,3 +132,40 @@ def min_mag_set(g: OrientedGraph, cfg: Optional[SolverConfig] = None) -> MagResu
         nodes += res.nodes
         lower += res.lower
     return MagResult(size, tuple(sorted(witness)), frozenset(forced_all), optimal, nodes, lower, _graph=g)
+
+
+@dataclass(frozen=True)
+class MegResult:
+    """Minimum MEG-set size and one witness; ``optimal`` is False when the
+    node budget ran out before the size was proven."""
+
+    size: int
+    witness: tuple[int, ...]
+    optimal: bool
+    nodes: int
+
+
+def min_meg_set(G: UndirectedGraph, max_nodes: int = DEFAULT_BUDGET) -> MegResult:
+    """Exact minimum monitoring edge-geodetic set of a connected graph,
+    searched within ``max_nodes`` nodes.
+
+    The search is seeded with all degree-1 vertices, which belong to every
+    MEG-set; otherwise it is the cover search of :func:`min_mag_set`.
+    """
+    check_budget(max_nodes)
+    if not G.is_connected():
+        raise DisconnectedInputError("MEG solver requires a connected graph")
+    if G.m == 0:
+        return MegResult(0, (), True, 0)
+    forced = frozenset(v for v in range(G.n) if G.degree(v) == 1)
+    problem = CoverProblem(
+        n=G.n,
+        full_mask=(1 << G.m) - 1,
+        rows=pair_table(G),
+        forced=forced,
+        lower_bound=max(2, len(forced)),
+    )
+    # branch-and-bound starts from all n vertices, not from the greedy, so
+    # a proven witness is the first optimal cover in search order
+    solution = solve_cover(problem, max_nodes, greedy_incumbent=False)
+    return MegResult(solution.size, tuple(sorted(solution.witness)), solution.optimal, solution.nodes)

@@ -27,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
+from .cover import DEFAULT_BUDGET, check_budget
 from .digraph import OrientedGraph, UndirectedGraph, _bfs
 from .errors import (
     BadParamError,
@@ -38,7 +39,7 @@ from .errors import (
     WidthMismatchError,
 )
 from .monitoring import _first_unbypassed, _forced_reasons
-from .solver import SolverConfig, _mag_floor, _solve_connected
+from .solver import _mag_floor, _solve_connected
 
 DEFAULT_EDGE_CAP = 20
 
@@ -76,9 +77,8 @@ def orient(G: UndirectedGraph, mask: int) -> OrientedGraph:
     indices."""
     if not (0 <= mask < 1 << G.m):
         raise WidthMismatchError(f"mask {mask} does not fit {G.m} edge bits")
-    # G's edges are valid and sorted, so the arcs are already canonical
     arcs = tuple((v, u) if mask >> i & 1 else (u, v) for i, (u, v) in enumerate(G.edges))
-    return OrientedGraph._canonical(G.n, arcs)
+    return OrientedGraph(G.n, arcs)
 
 
 # the most automorphisms the scan tests a mask against; a subset keeps the
@@ -272,7 +272,7 @@ def _scan_masks(
     symmetries: Sequence[Symmetry],
     lo: int,
     hi: int,
-    cfg: SolverConfig,
+    max_nodes: int = DEFAULT_BUDGET,
     stop_at_two: bool = False,
     stop_at_n: bool = False,
 ) -> tuple[dict[int, int], list[tuple[int, int, int]], dict[str, int]]:
@@ -340,7 +340,7 @@ def _scan_masks(
             if ceil <= lower:
                 continue
             searched += 1
-            res, rows = _solve_connected(n, G.m, links, cfg, frozenset(reasons), lower, stop=ceil)
+            res, rows = _solve_connected(n, G.m, links, frozenset(reasons), lower, max_nodes, stop=ceil)
             matrices += None not in rows  # the forced rows did not settle it
             if not res.optimal:
                 upper = min(res.size, n - 1)
@@ -366,13 +366,14 @@ def _scan_masks(
 
 def spectrum(
     G: UndirectedGraph,
-    cfg: Optional[SolverConfig] = None,
+    max_nodes: int = DEFAULT_BUDGET,
     max_edges: int = DEFAULT_EDGE_CAP,
     threads: int = 1,
     stop_at_two: bool = False,
     stop_at_n: bool = False,
 ) -> SpectrumResult:
-    """Exact spectrum over all 2^m orientations of a connected graph.
+    """Exact spectrum over all 2^m orientations of a connected graph, each
+    orientation searched within ``max_nodes`` nodes.
 
     ``stop_at_two`` / ``stop_at_n`` allow early exit once the trivial
     extreme for mag-minus / mag-plus has been reached (off by default so
@@ -383,6 +384,7 @@ def spectrum(
     only when its value could be one without an earlier witness, so the
     outcome is the same for any worker count.
     """
+    check_budget(max_nodes)
     if threads < 1:
         raise BadParamError(f"need at least 1 thread, got {threads}")
     if max_edges < 0:
@@ -393,7 +395,6 @@ def spectrum(
         raise TooManyEdgesError(f"{G.m} edges exceeds the cap of {max_edges}")
     if threads > 1 and (stop_at_two or stop_at_n):
         raise BadParamError("early exit (stop at mag 2 or n) needs a serial scan: use 1 thread")
-    cfg = cfg or SolverConfig()
     total = 1 << max(G.m - 1, 0)  # the masks with the top bit clear
     symmetries = _mask_symmetries(G)
     if threads > 1 and G.m >= 6:
@@ -405,7 +406,7 @@ def spectrum(
         los = range(0, total, chunk)
         his = [min(lo + chunk, total) for lo in los]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(partial(_scan_masks, G, symmetries, cfg=cfg), los, his))
+            parts = list(pool.map(partial(_scan_masks, G, symmetries, max_nodes=max_nodes), los, his))
         best: dict[int, int] = {}
         pending: list[tuple[int, int, int]] = []
         for part, part_pending, _ in parts:  # in mask order
@@ -414,7 +415,7 @@ def spectrum(
             pending.extend(part_pending)
         counts = {key: sum(part[2][key] for part in parts) for key in parts[0][2]}
     else:
-        best, pending, counts = _scan_masks(G, symmetries, 0, total, cfg, stop_at_two, stop_at_n)
+        best, pending, counts = _scan_masks(G, symmetries, 0, total, max_nodes, stop_at_two, stop_at_n)
     for mask, lower, upper in pending:
         if any(best.get(v, total) > mask for v in range(lower, upper + 1)):
             raise BudgetExceededError("solver budget exhausted during spectrum scan")

@@ -112,17 +112,27 @@ def test_spectrum_command(capsys, monkeypatch):
     ["verify", "thm32", "--samples", "-5"],
     ["reduce", "vertexcover", "-", "--k", "-1"],
     ["verify", "vc", "-", "--k", "-1"],
+    ["reduce", "vertexcover", "-", "--k", "7"],
+    ["verify", "vc", "-", "--k", "7"],
 ])
 def test_bad_threads_and_edge_cap_exit_2(capsys, monkeypatch, argv):
     # a worker count below 1 does not mean a serial scan, a negative edge
     # cap is not a cap that the graph exceeds, a budget below 1 allows no
     # search node, thm32 draws graphs of 2 to --max-n vertices and family
     # checks n = 3 up, no samples check nothing, and a cover has no
-    # negative size
+    # negative size nor more vertices than the graph's 6
     with pytest.raises(SystemExit) as exc:
         run(capsys, monkeypatch, argv, C6_UNDIRECTED)
     assert exc.value.code == 2
     assert "must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["reduce vertexcover", "verify vc"])
+def test_disconnected_vertex_cover_instance_exits_1(capsys, monkeypatch, command):
+    # a --k within [0, n] is a good flag: the instance itself is rejected
+    rc, out, err = run(capsys, monkeypatch, [*command.split(), "-", "--k", "2"], "undirected 4 2\n0 1\n2 3\n")
+    assert rc == 1 and out == ""
+    assert err == "error: vertex cover instance must be connected\n"
 
 
 def test_extremal_both_input_kinds(capsys, monkeypatch):

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from magsets import (
     BadParamError,
     OrientedGraph,
-    SolverConfig,
     UndirectedGraph,
     edge_monitors_undirected,
     forced_vertices,
@@ -193,7 +192,7 @@ def test_budget_fallback_keeps_greedy_on_both_strategies():
         forced = forced_vertices(g).vertices
         greedy = greedy_cover(mag_problem(g, forced, 0))
         assert len(greedy) == 3 and sweeps(g.n, len(forced)) == sweep
-        res = min_mag_set(g, SolverConfig(max_nodes=1))
+        res = min_mag_set(g, max_nodes=1)
         assert not res.optimal and res.witness == tuple(sorted(greedy))
 
 

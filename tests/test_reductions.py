@@ -8,7 +8,6 @@ from magsets import (
     BudgetExceededError,
     InvalidInstanceError,
     Nae3SatInstance,
-    SolverConfig,
     UndirectedGraph,
     VertexCoverInstance,
     brute_nae3sat,
@@ -158,8 +157,8 @@ def test_vc_verdict_needs_a_decided_search():
     G = UndirectedGraph(5, ((0, 1), (0, 2), (1, 4), (2, 3)))
     assert verify_vc_reduction(VertexCoverInstance(G, 2))
     with pytest.raises(BudgetExceededError):
-        verify_vc_reduction(VertexCoverInstance(G, 2), SolverConfig(max_nodes=1))
-    assert verify_vc_reduction(VertexCoverInstance(G, 3), SolverConfig(max_nodes=1))
+        verify_vc_reduction(VertexCoverInstance(G, 2), max_nodes=1)
+    assert verify_vc_reduction(VertexCoverInstance(G, 3), max_nodes=1)
 
 
 def test_vc_extraction_round_trip():

@@ -11,13 +11,17 @@ from hypothesis import strategies as st
 from magsets import (
     BadParamError,
     OrientedGraph,
-    SolverConfig,
+    UndirectedGraph,
+    VertexCoverInstance,
     forced_vertices,
     is_mag_set,
     mag_lower_bound,
     min_mag_set,
+    min_meg_set,
     orient,
     parse_edge_list,
+    spectrum,
+    verify_vc_reduction,
 )
 from magsets.cover import greedy_cover, solve_cover_branch_bound, solve_cover_sweep, sweeps
 from magsets.families import (
@@ -86,7 +90,7 @@ def test_pair_rows_built_once_per_solve(monkeypatch, engine, max_nodes):
     else:
         g = cycle_with_chord(30, 15)
     assert sweeps(g.n, len(forced_vertices(g).vertices)) == (engine == "sweep")
-    res = min_mag_set(g, SolverConfig(max_nodes=max_nodes))
+    res = min_mag_set(g, max_nodes=max_nodes)
     assert res.optimal == (max_nodes > 1)
     assert is_mag_set(g, res.witness)[0]
     assert len(calls) == 1
@@ -111,7 +115,7 @@ def test_golden_node_counts(seed):
     rng = random.Random(seed)
     G = random_connected_undirected(rng, 40, extra=31)
     g = orient(G, rng.getrandbits(G.m))
-    res = min_mag_set(g, SolverConfig(max_nodes=20_000))
+    res = min_mag_set(g, max_nodes=20_000)
     # seeds 0 and 2 leave at most 24 vertices free, so they sweep; 187 and 91
     # branch and bound
     assert (g.n - len(res.forced) <= 24) == (seed in (0, 2))
@@ -152,12 +156,11 @@ def test_search_pool_matches_reference(monkeypatch):
     reference = json.loads((BENCH / "reference.json").read_text())["search"]
     pool = workloads.search_pool()
     assert sorted(pool) == sorted(reference) and len(pool) == 320
-    cfg = SolverConfig(max_nodes=workloads.SEARCH_BUDGET)
     got, want = {}, {}
     for key, text in pool.items():
         entry = reference[key]
         assert workloads.digest(text) == entry["digest"]
-        res = min_mag_set(parse_edge_list(text), cfg)
+        res = min_mag_set(parse_edge_list(text), max_nodes=workloads.SEARCH_BUDGET)
         got[key] = (res.nodes, res.optimal, res.size)
         want[key] = (entry["nodes"], entry["optimal"], entry["size"])
     assert got == want
@@ -208,13 +211,33 @@ def test_greedy_is_valid_upper_bound():
 
 def test_budget_exhaustion_degrades_gracefully():
     g = random_connected_oriented(random.Random(1), 10, p=0.4)
-    res = min_mag_set(g, SolverConfig(max_nodes=1))
+    res = min_mag_set(g, max_nodes=1)
     assert not res.optimal
     assert is_mag_set(g, res.witness)[0]
     assert len(res.forced) <= res.lower <= min_mag_set(g).size
-    # a budget must allow one node, whichever path the solve takes
-    with pytest.raises(BadParamError):
-        SolverConfig(max_nodes=0)
+
+
+P5 = UndirectedGraph(5, ((0, 1), (0, 2), (1, 4), (2, 3)))
+ONE_VERTEX = UndirectedGraph(1, ())
+
+
+@pytest.mark.parametrize("solve, arg", [
+    (min_mag_set, cycle_c0(5)),
+    (min_mag_set, OrientedGraph(3, ())),
+    (min_mag_set, OrientedGraph(1, ())),
+    (min_meg_set, P5),
+    (min_meg_set, ONE_VERTEX),
+    (spectrum, P5),
+    (spectrum, ONE_VERTEX),
+    (verify_vc_reduction, VertexCoverInstance(P5, 2)),
+    (verify_vc_reduction, VertexCoverInstance(ONE_VERTEX, 0)),
+], ids=["mag", "mag-arcless", "mag-one-vertex", "meg", "meg-one-vertex", "spectrum",
+        "spectrum-one-vertex", "vc", "vc-one-vertex"])
+def test_zero_budget_rejected(solve, arg):
+    # a budget must allow one node, whichever path the solve takes, even on
+    # an input that needs no search
+    with pytest.raises(BadParamError, match="node budget must be positive"):
+        solve(arg, max_nodes=0)
 
 
 def test_covering_forced_set_builds_only_its_rows(monkeypatch):

@@ -11,7 +11,6 @@ from magsets import (
     BudgetExceededError,
     DisconnectedInputError,
     OrientedGraph,
-    SolverConfig,
     TooManyEdgesError,
     UndirectedGraph,
     WidthMismatchError,
@@ -24,6 +23,7 @@ from magsets import (
     orient,
     spectrum,
 )
+from magsets.cover import DEFAULT_BUDGET
 from magsets.families import construction_gj
 from magsets.monitoring import _neighbourhoods
 
@@ -378,7 +378,7 @@ def budget_outcomes(G, budget):
     outcomes = []
     for threads in (1, 2):
         try:
-            outcomes.append(spectrum(G, SolverConfig(max_nodes=budget), threads=threads))
+            outcomes.append(spectrum(G, max_nodes=budget, threads=threads))
         except BudgetExceededError:
             outcomes.append(None)
     return outcomes
@@ -434,7 +434,7 @@ def test_budget_stop_before_a_first_witness_raises():
     G = UndirectedGraph(6, ((0, 1), (0, 3), (0, 5), (1, 2), (2, 4), (3, 4), (4, 5)))
     assert brute_spectrum(G).witness_min == 4
     with pytest.raises(BudgetExceededError):
-        spectrum(G, SolverConfig(max_nodes=3))
+        spectrum(G, max_nodes=3)
 
 
 def test_level_stop_and_chunk_budget_agree(monkeypatch):
@@ -465,7 +465,7 @@ def test_level_stop_and_chunk_budget_agree(monkeypatch):
     outcomes = []
     for threads in (1, 2):
         solves.append({})
-        outcomes.append(spectrum(G, SolverConfig(max_nodes=5), threads=threads))
+        outcomes.append(spectrum(G, max_nodes=5, threads=threads))
     serial, chunked = solves
     assert serial[76] == (3, False, 3)  # gave up before level 3
     assert chunked[76] == (4, False, 3)  # out of budget in level 3
@@ -486,9 +486,8 @@ def test_chunk_counts_are_summed(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     G = undirected_cycle(8)
-    cfg = SolverConfig()
     symmetries = scan._mask_symmetries(G)
-    parts = [scan._scan_masks(G, symmetries, lo, lo + 32, cfg)[2] for lo in range(0, 128, 32)]
+    parts = [scan._scan_masks(G, symmetries, lo, lo + 32)[2] for lo in range(0, 128, 32)]
     pooled = spectrum(G, threads=2).counts
     assert pooled == {key: sum(part[key] for part in parts) for key in parts[0]}
     assert pooled["masks_scanned"] == 128
@@ -539,32 +538,30 @@ def test_solve_from_lookup_equals_solve_of_built_orientation(G, data):
         return
     mask = data.draw(st.integers(0, (1 << G.m) - 1))
     drawn = data.draw(st.integers(1, 60))
-    budget = data.draw(st.sampled_from((1, drawn, SolverConfig().max_nodes)))
+    budget = data.draw(st.sampled_from((1, drawn, DEFAULT_BUDGET)))
     stop = data.draw(st.sampled_from((None,) + tuple(range(2, G.n + 1))))
-    cfg = SolverConfig(max_nodes=budget)
     ins, outs, in_list, out_list, links = scan._neighbourhood_lookup(G)(mask)
     reasons = scan._forced_reasons(ins, outs, in_list, out_list)
     floor = max(2, G.n - 1) if G.m == G.n * (G.n - 1) // 2 else 2
     lower = max(floor, len(reasons))
-    got, got_rows = solver._solve_connected(G.n, G.m, links, cfg, frozenset(reasons), lower, stop)
+    got, got_rows = solver._solve_connected(G.n, G.m, links, frozenset(reasons), lower, budget, stop)
     g = orient(G, mask)
     forced = forced_vertices(g).vertices
     lower = mag_lower_bound(g, forced)
-    want, want_rows = solver._solve_connected(g.n, g.m, g.out_links, cfg, forced, lower, stop)
+    want, want_rows = solver._solve_connected(g.n, g.m, g.out_links, forced, lower, budget, stop)
     assert (got.size, got.optimal, got.lower, got.nodes) == (want.size, want.optimal, want.lower,
                                                              want.nodes)
     assert (got.witness, got_rows) == (want.witness, want_rows)
 
 
 def test_spectrum_builds_no_oriented_graph(monkeypatch):
-    # every orientation is solved from its mask: neither a validated nor a
-    # trusted orientation is built, whether a mask is skipped, forced,
-    # settled by its forced rows or searched in full
+    # every orientation is solved from its mask: no orientation is built,
+    # whether a mask is skipped, forced, settled by its forced rows or
+    # searched in full
     def refuse(*args, **kwargs):
         raise AssertionError("an OrientedGraph was built")
 
     monkeypatch.setattr(OrientedGraph, "__post_init__", refuse)
-    monkeypatch.setattr(OrientedGraph, "_canonical", classmethod(refuse))
     with pytest.raises(AssertionError):
         orient(PETERSEN, 0)
     for G in (PETERSEN, undirected_cycle(9), N7, complete_graph(5)):

@@ -361,7 +361,7 @@ def _int_at_least(least: int):
     return parse
 
 
-# the arguments shared by the analysis commands; each command takes the ones it reads
+# the arguments shared by the commands; each command takes the ones it reads
 _OPTIONS = {
     "input": dict(nargs="?", default="-", help="input file or '-' for stdin"),
     "--budget": dict(type=_int_at_least(1), default=DEFAULT_BUDGET, help="search-node budget"),
@@ -369,6 +369,8 @@ _OPTIONS = {
     "--threads": dict(type=_int_at_least(1), default=1, help="spectrum worker processes (1 = serial)"),
     "--seed": dict(type=int, default=0),
     "--max-n": dict(type=_int_at_least(2), default=7, help="largest n checked"),
+    "--k": dict(type=_int_at_least(0), default=0, help="vertex-cover budget"),
+    "--format": dict(choices=["edgelist", "dot"], default="edgelist"),
 }
 
 
@@ -421,15 +423,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sinks", default=None, help="comma-separated sink positions (class C3)")
     p.add_argument("--root", type=int, default=0)
     p.add_argument("--input", default="-", help="undirected edge list for tree/bipartite/girth kinds")
-    p.add_argument("--format", choices=["edgelist", "dot"], default="edgelist")
+    _add_common(p, "--format")
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("reduce", help="emit a hardness gadget as an edge list with role comments")
-    p.add_argument("problem", choices=["nae3sat", "vertexcover"])
-    p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--k", type=_int_at_least(0), default=0, help="vertex-cover budget")
-    p.add_argument("--format", choices=["edgelist", "dot"], default="edgelist")
-    p.set_defaults(func=cmd_reduce, usage_error=p.error)
+    p.set_defaults(func=cmd_reduce)
+    problems = p.add_subparsers(dest="problem", required=True)
+    c = problems.add_parser("nae3sat", help="NAE-3SAT gadget of a formula")
+    _add_common(c, "input", "--format")
+    c = problems.add_parser("vertexcover", help="vertex-cover gadget of a graph and --k")
+    _add_common(c, "input", "--k", "--format")
+    c.set_defaults(usage_error=c.error)
 
     p = sub.add_parser("verify", help="cross-check a reduction or closed form against oracles")
     p.set_defaults(func=cmd_verify)
@@ -437,8 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = checks.add_parser("nae", help="NAE-3SAT gadget against brute force")
     _add_common(c, "input", "--max-edges")
     c = checks.add_parser("vc", help="vertex-cover gadget against brute force")
-    _add_common(c, "input", "--budget")
-    c.add_argument("--k", type=_int_at_least(0), default=0, help="vertex-cover budget")
+    _add_common(c, "input", "--budget", "--k")
     c.set_defaults(usage_error=c.error)
     c = checks.add_parser("family", help="closed forms of the generated families")
     _add_common(c, "--budget")

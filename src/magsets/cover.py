@@ -20,18 +20,23 @@ reproducible bit-for-bit.
 Nodes that cannot have a child are not entered.  A search node is one
 candidate vertex set.  In branch-and-bound, every child of a node that is
 not a cover adds at least one vertex: the node's coverage is exactly that
-of its set, so no pair inside the set holds an uncovered target.  So a node
-one vertex short of the best cover so far has no child, and returns right
-after its cover test.  At a node two vertices short, every child within the
-bound adds one vertex and is such a leaf; the node counts each one as a
-node and one unit of the budget, in pair order, and tests it inline.  It
-returns at the first cover, which puts every later sibling at the bound.
-The sweep tests the sets of the size being tried inline in the same way.
+of its set, so no pair inside the set holds an uncovered target.  So a
+child one vertex short of the best cover so far is a leaf, and it is
+counted as a node and one unit of the budget, in pair order, and tested
+where it is generated: every child within the bound of a node two vertices
+short, and every child adding both ends of its pair to a node three short.
+A node two short returns at the first cover, which puts every later
+sibling at the bound.  Only the root, or a child made a leaf by a bound
+that shrank during its parent's loop, is entered one short, and it returns
+right after its cover test.  The sweep tests the sets of the size being
+tried inline in the same way.
 
-A branch-and-bound node keeps the gain list of its path: ``gain[v]`` is the
-OR of ``rows[v][c]`` over the c in its set.  A child's coverage, or a
-leaf's cover test, reads one entry per added vertex instead of ORing its
-rows to every chosen vertex.  None of this changes the search: the nodes
+A branch-and-bound node that branches keeps the gain list of its path:
+``gain[v]`` is the OR of ``rows[v][c]`` over the c in its set.  A child's
+coverage, or a leaf's cover test, reads one entry per added vertex instead
+of ORing its rows to every chosen vertex.  A node two short builds no list:
+each leaf it tests reads its parent's entry and ORs in the rows of the
+node's own added vertices.  None of this changes the search: the nodes
 counted, their order, the witnesses and the node at which an exhausted
 budget stops are those of a search that enters every node and ORs the
 rows of each one's set.
@@ -210,12 +215,15 @@ def solve_cover_branch_bound(
     A node holds its ``k`` vertices as the bitmask ``cmask`` and keeps the
     invariant ``gain[v] == OR of rows[v][c] over c in cmask``.  A child
     adding x covers ``cov | gain[x]``; one adding x and y covers
-    ``cov | gain[x] | gain[y] | rows[x][y]``.  Each node builds its list
-    from its parent's only after its early returns, which most children
-    take.  The first uncovered target in ``order`` only moves forward along
-    a path, so its position is handed down.  Neither changes the node
-    counts, the visit order, the witnesses or the node where a budget
-    stops."""
+    ``cov | gain[x] | gain[y] | rows[x][y]``.  A child one vertex short of
+    the bound is a leaf, counted and tested in its parent's loop, not
+    entered.  So a node builds its list from its parent's only when it
+    branches: not after an early return, which most children take, nor at
+    a node two short, whose leaves OR the rows of its ``added`` vertices
+    into the parent's entry.  The first uncovered target in ``order`` only
+    moves forward along a path, so its position is handed down.  None of
+    this changes the node counts, the visit order, the witnesses or the
+    node where a budget stops."""
     check_budget(max_nodes)
     n = problem.n
     full = problem.full_mask
@@ -248,8 +256,6 @@ def solve_cover_branch_bound(
             return
         if k + 1 >= limit:
             return  # every child adds a vertex, so none beats the bound
-        for a in added:
-            gain = [g | r for g, r in zip(gain, rows[a])]
         uncovered = full & ~cov
         while not uncovered & order[pos]:
             pos += 1
@@ -260,7 +266,8 @@ def solve_cover_branch_bound(
         if k + 2 == limit:
             # every child within the bound adds one vertex and is a leaf:
             # count and test each here, and stop at the first cover, which
-            # puts every later sibling at the bound
+            # puts every later sibling at the bound; the list is the
+            # parent's, so the rows of this node's own vertices are ORed in
             for x, y in pick_pairs:
                 if cmask >> x & 1:
                     v = y
@@ -271,11 +278,16 @@ def solve_cover_branch_bound(
                 nodes += 1
                 if nodes > max_nodes:
                     raise _BudgetStop
-                if cov | gain[v] == full:
+                gv = gain[v]
+                for a in added:
+                    gv |= rows[a][v]
+                if cov | gv == full:
                     cmask |= 1 << v
                     best = [u for u in range(n) if cmask >> u & 1]
                     return
             return
+        for a in added:
+            gain = [g | r for g, r in zip(gain, rows[a])]
         for x, y in pick_pairs:
             if cmask >> x & 1:
                 if k + 1 < limit:
@@ -285,7 +297,15 @@ def solve_cover_branch_bound(
                     rec(k + 1, cmask | 1 << x, cov | gain[x], gain, (x,), pos)
             elif k + 2 < limit:
                 child_cov = cov | gain[x] | gain[y] | rows[x][y]
-                rec(k + 2, cmask | 1 << x | 1 << y, child_cov, gain, (x, y), pos)
+                if k + 3 == limit:  # the child is a leaf: count and test it here
+                    nodes += 1
+                    if nodes > max_nodes:
+                        raise _BudgetStop
+                    if child_cov == full:
+                        cmask_xy = cmask | 1 << x | 1 << y
+                        best = [u for u in range(n) if cmask_xy >> u & 1]
+                else:
+                    rec(k + 2, cmask | 1 << x | 1 << y, child_cov, gain, (x, y), pos)
             limit = len(best)
 
     fmask = sum(1 << f for f in forced)

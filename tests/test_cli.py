@@ -114,17 +114,20 @@ def test_spectrum_command(capsys, monkeypatch):
     ["verify", "vc", "-", "--k", "-1"],
     ["reduce", "vertexcover", "-", "--k", "7"],
     ["verify", "vc", "-", "--k", "7"],
+    ["reduce", "nae3sat", "-", "--k", "99"],
 ])
 def test_bad_threads_and_edge_cap_exit_2(capsys, monkeypatch, argv):
     # a worker count below 1 does not mean a serial scan, a negative edge
     # cap is not a cap that the graph exceeds, a budget below 1 allows no
     # search node, thm32 draws graphs of 2 to --max-n vertices and family
-    # checks n = 3 up, no samples check nothing, and a cover has no
-    # negative size nor more vertices than the graph's 6
+    # checks n = 3 up, no samples check nothing, a cover has no negative
+    # size nor more vertices than the graph's 6, and a NAE-3SAT gadget has
+    # no cover size to take
     with pytest.raises(SystemExit) as exc:
         run(capsys, monkeypatch, argv, C6_UNDIRECTED)
     assert exc.value.code == 2
-    assert "must be at least" in capsys.readouterr().err
+    message = "unrecognized arguments: --k 99" if argv[1] == "nae3sat" else "must be at least"
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["reduce vertexcover", "verify vc"])

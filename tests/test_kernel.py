@@ -361,10 +361,27 @@ def test_cover_searches_match_reference(problem, data):
     ]
     for fast, reference, known in searches:
         total = reference(problem, 10_000_000, *known).nodes
-        budgets = {1, max(1, total - 1), max(1, total), 10_000_000}
-        budgets.add(data.draw(st.integers(1, total + 1)))
+        if total <= 300:  # a small search is stopped at every node
+            budgets = set(range(1, total + 2))
+        else:
+            budgets = {1, total - 1, total, 10_000_000}
+            budgets.add(data.draw(st.integers(1, total + 1)))
         for budget in sorted(budgets):
             assert fast(problem, budget, *known) == reference(problem, budget, *known)
+
+
+def test_branch_bound_optimum_first_reached_as_a_pair_leaf():
+    # here branch-and-bound first reaches its optimum, 6 of the 10 vertices,
+    # as a child adding two vertices to a node three short of the bound:
+    # a leaf counted and tested in that node's loop; every budget must stop
+    # on the reference's node, holding the reference's cover
+    problem = mag_problem(random_oriented(random.Random(224), 10, 0.2), frozenset(), 0)
+    for known in ((), (greedy_cover(problem),)):
+        whole = helpers.solve_cover_branch_bound(problem, 10_000_000, *known)
+        assert (whole.size, whole.optimal) == (6, True)
+        for budget in range(1, whole.nodes + 2):
+            got = solve_cover_branch_bound(problem, budget, *known)
+            assert got == helpers.solve_cover_branch_bound(problem, budget, *known)
 
 
 @settings(max_examples=100, deadline=None)

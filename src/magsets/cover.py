@@ -12,9 +12,9 @@ vertices outside the forced set are swept, more are branched over.
 * branch-and-bound  -- pick an uncovered target with the smallest
   admissible pair family, branch over its pairs.
 
-A greedy cover is built only when a search needs one: as the
-branch-and-bound incumbent, or as the sweep's answer when its budget runs
-out.  Tie-breaking is by lowest vertex index everywhere, so the witness is
+A greedy cover is built only when a search needs one: always as the
+branch-and-bound incumbent, and as the sweep's answer only when its budget
+runs out.  Tie-breaking is by lowest vertex index everywhere, so the witness is
 reproducible bit-for-bit.
 
 Nodes that cannot have a child are not entered.  A search node is one
@@ -354,26 +354,19 @@ def sweeps(n: int, forced: int) -> bool:
 
 
 def solve_cover(
-    problem: CoverProblem,
-    max_nodes: int = DEFAULT_BUDGET,
-    greedy_incumbent: bool = True,
-    stop: Optional[int] = None,
+    problem: CoverProblem, max_nodes: int = DEFAULT_BUDGET, stop: Optional[int] = None
 ) -> CoverSolution:
-    """Sweep or branch, as :func:`sweeps` picks from the problem; a sweep
-    gives up before level ``stop``, branch-and-bound ignores it.  The
-    :func:`greedy_cover` is built only when a search needs it: as the
-    branch-and-bound incumbent (with ``greedy_incumbent`` false the search
-    starts from all n vertices instead), or when the budget runs out before
-    an optimum is proven, when it is returned in place of a larger
-    best-so-far."""
-    greedy = None
-    if sweeps(problem.n, len(problem.forced)):
-        solution = solve_cover_sweep(problem, max_nodes, stop)
-    else:
-        greedy = greedy_cover(problem) if greedy_incumbent else None
-        solution = solve_cover_branch_bound(problem, max_nodes, greedy)
+    """Branch from the :func:`greedy_cover`, or sweep and fall back to it,
+    as :func:`sweeps` picks from the problem.  A sweep gives up before
+    level ``stop`` (branch-and-bound ignores it); when its budget runs out
+    first, the greedy is returned if it is smaller than all n vertices.
+    Branch-and-bound never returns a cover larger than the greedy it starts
+    from."""
+    if not sweeps(problem.n, len(problem.forced)):
+        return solve_cover_branch_bound(problem, max_nodes, greedy_cover(problem))
+    solution = solve_cover_sweep(problem, max_nodes, stop)
     if not solution.optimal and (stop is None or solution.lower < stop):
-        greedy = greedy or greedy_cover(problem)
+        greedy = greedy_cover(problem)
         if len(greedy) < solution.size:
             solution = CoverSolution(len(greedy), greedy, False, solution.nodes, solution.lower)
     return solution

@@ -1,10 +1,13 @@
 """Exact minimum MAG-sets of oriented graphs and MEG-sets of undirected
 graphs: both are covers by vertex pairs of the monitoring kernel's table.
 
-Disconnected oriented inputs are decomposed into weakly connected
-components, solved independently, and the witnesses unioned: a pair of
-vertices in different components monitors nothing, so the problem is
-additive.
+Both are solved by one search of a connected graph (`_solve_connected`),
+which differs between them only in its links, its forced set and its lower
+bound.  Disconnected oriented inputs are split into weakly connected
+components in one pass over the arcs, relabeled in vertex and arc order,
+solved independently, and the witnesses unioned: a pair of vertices in
+different components monitors nothing, so the problem is additive, and
+each component certifies its own arcs from its own result.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from typing import Optional
 from .cover import DEFAULT_BUDGET, CoverProblem, CoverSolution, check_budget, solve_cover, sweeps
 from .digraph import OrientedGraph, UndirectedGraph
 from .errors import DisconnectedInputError
-from .monitoring import LinkAdjacency, Rows, _pair_table, _route_rows, _set_coverage, forced_vertices, pair_table
+from .monitoring import LinkAdjacency, Rows, _edge_adjacency, _pair_table, _route_rows, _set_coverage, forced_vertices
 
 
 @dataclass(frozen=True)
@@ -36,13 +39,27 @@ class MagResult:
     _graph: OrientedGraph = field(repr=False, kw_only=True)
     # the kernel rows N_x the solve built, by source x (None where not built)
     _rows: Optional[Rows] = field(default=None, repr=False, compare=False, kw_only=True)
+    # of a disconnected graph, per weakly connected component: its vertices
+    # and its arc indices, both increasing, and the result of its own solve
+    _parts: tuple[tuple[list[int], list[int], MagResult], ...] = field(
+        default=(), repr=False, compare=False, kw_only=True
+    )
 
     @cached_property
     def coverage(self) -> dict[int, tuple[int, int]]:
         """Per arc, the lexicographically first witness pair monitoring it;
-        built on first access from the witness vertices' kernel rows."""
+        built on first access from the witness vertices' kernel rows, per
+        component on a disconnected graph."""
         if not self.witness:
             return {}  # no arcs: nothing to certify, and no graph table to build
+        if self._parts:
+            # pairs across components monitor nothing, and the relabeling
+            # keeps vertex and arc order, so each part's first pairs are these
+            return {
+                arc_ids[a]: (verts[x], verts[y])
+                for verts, arc_ids, part in self._parts
+                for a, (x, y) in part.coverage.items()
+            }
         g = self._graph
         rows = self._rows or [None] * g.n
         return _set_coverage(g.out_links, g.m, sorted(self.witness), rows)[0]
@@ -69,15 +86,15 @@ def _solve_connected(
     max_nodes: int = DEFAULT_BUDGET, stop: Optional[int] = None,
 ) -> tuple[CoverSolution, Rows]:
     """The cover solution, and the kernel rows built, of the connected graph
-    on n vertices and m arcs with out-links ``adj``: bound by ``lower`` and
-    searched from the caller's forced set F, which is in every MAG-set,
-    within ``max_nodes`` search nodes and with ``stop`` as in
-    :func:`solve_cover`.  The search's first level is F alone, which needs
-    only F's own kernel rows, so those are built first: when the pairs
-    inside F cover every arc, F is the optimum, and when a sweep would give
-    up right after F, nothing more is needed.  Otherwise the rows are
-    completed into the pair table and searched; the greedy cover is built
-    only if the search asks for it."""
+    on n vertices and m links with out-links ``adj`` (arcs, or undirected
+    edges seen from both ends): bound by ``lower`` and searched from the
+    caller's forced set F, which is in every MAG-set (or MEG-set), within
+    ``max_nodes`` search nodes and with ``stop`` as in :func:`solve_cover`.
+    The search's first level is F alone, which needs only F's own kernel
+    rows, so those are built first: when the pairs inside F cover every
+    link, F is the optimum, and when a sweep would give up right after F,
+    nothing more is needed.  Otherwise the rows are completed into the pair
+    table and handed to :func:`solve_cover`."""
     full = (1 << m) - 1
     rows = _route_rows(adj, forced, [None] * n)
     k = len(forced)
@@ -107,31 +124,48 @@ def min_mag_set(g: OrientedGraph, max_nodes: int = DEFAULT_BUDGET) -> MagResult:
         return MagResult(0, (), frozenset(), True, 0, 0, _graph=g)
     comps = g.components()
     if len(comps) == 1:
-        forced = forced_vertices(g).vertices
-        lower = mag_lower_bound(g, forced)
-        sol, rows = _solve_connected(g.n, g.m, g.out_links, forced, lower, max_nodes)
-        return MagResult(sol.size, sol.witness, forced, sol.optimal, sol.nodes, sol.lower, _graph=g, _rows=rows)
-    # solve per component and merge through the vertex relabeling; pairs
-    # across components monitor nothing, so the coverage of the merged
-    # witness comes from the whole graph's kernel rows
+        return _min_mag_connected(g, max_nodes)
+    # split the arcs by component in one pass, relabeling each component's
+    # vertices and arcs in increasing order, and solve each on its own
+    verts_of = [sorted(comp) for comp in comps]
+    part_of, label = [0] * g.n, [0] * g.n
+    for p, verts in enumerate(verts_of):
+        for i, v in enumerate(verts):
+            part_of[v], label[v] = p, i
+    arcs_of: list[list[tuple[int, int]]] = [[] for _ in comps]
+    ids_of: list[list[int]] = [[] for _ in comps]
+    for a, (u, v) in enumerate(g.arcs):
+        p = part_of[u]
+        arcs_of[p].append((label[u], label[v]))
+        ids_of[p].append(a)
     size = 0
     witness: list[int] = []
     forced_all: set[int] = set()
     optimal = True
     nodes = lower = 0
-    for comp in comps:
-        verts = sorted(comp)
-        local = {v: i for i, v in enumerate(verts)}
-        sub_arcs = [(local[u], local[v]) for u, v in g.arcs if u in comp]
-        sub = OrientedGraph(len(verts), tuple(sub_arcs))
-        res = min_mag_set(sub, max_nodes)
+    parts = []
+    for verts, arcs, arc_ids in zip(verts_of, arcs_of, ids_of):
+        if not arcs:
+            continue  # an isolated vertex: no arc to monitor, none needed
+        res = _min_mag_connected(OrientedGraph(len(verts), tuple(arcs)), max_nodes)
         size += res.size
         witness.extend(verts[v] for v in res.witness)
         forced_all.update(verts[v] for v in res.forced)
         optimal = optimal and res.optimal
         nodes += res.nodes
         lower += res.lower
-    return MagResult(size, tuple(sorted(witness)), frozenset(forced_all), optimal, nodes, lower, _graph=g)
+        parts.append((verts, arc_ids, res))
+    return MagResult(
+        size, tuple(sorted(witness)), frozenset(forced_all), optimal, nodes, lower, _graph=g, _parts=tuple(parts)
+    )
+
+
+def _min_mag_connected(g: OrientedGraph, max_nodes: int) -> MagResult:
+    """:func:`min_mag_set` of a weakly connected graph with arcs."""
+    forced = forced_vertices(g).vertices
+    lower = mag_lower_bound(g, forced)
+    sol, rows = _solve_connected(g.n, g.m, g.out_links, forced, lower, max_nodes)
+    return MagResult(sol.size, sol.witness, forced, sol.optimal, sol.nodes, sol.lower, _graph=g, _rows=rows)
 
 
 @dataclass(frozen=True)
@@ -149,8 +183,9 @@ def min_meg_set(G: UndirectedGraph, max_nodes: int = DEFAULT_BUDGET) -> MegResul
     """Exact minimum monitoring edge-geodetic set of a connected graph,
     searched within ``max_nodes`` nodes.
 
-    The search is seeded with all degree-1 vertices, which belong to every
-    MEG-set; otherwise it is the cover search of :func:`min_mag_set`.
+    The search of :func:`min_mag_set` over the kernel of the undirected
+    links, seeded with all degree-1 vertices, which belong to every
+    MEG-set, and bounded below by 2 and by their number.
     """
     check_budget(max_nodes)
     if not G.is_connected():
@@ -158,14 +193,5 @@ def min_meg_set(G: UndirectedGraph, max_nodes: int = DEFAULT_BUDGET) -> MegResul
     if G.m == 0:
         return MegResult(0, (), True, 0)
     forced = frozenset(v for v in range(G.n) if G.degree(v) == 1)
-    problem = CoverProblem(
-        n=G.n,
-        full_mask=(1 << G.m) - 1,
-        rows=pair_table(G),
-        forced=forced,
-        lower_bound=max(2, len(forced)),
-    )
-    # branch-and-bound starts from all n vertices, not from the greedy, so
-    # a proven witness is the first optimal cover in search order
-    solution = solve_cover(problem, max_nodes, greedy_incumbent=False)
-    return MegResult(solution.size, tuple(sorted(solution.witness)), solution.optimal, solution.nodes)
+    sol = _solve_connected(G.n, G.m, _edge_adjacency(G), forced, max(2, len(forced)), max_nodes)[0]
+    return MegResult(sol.size, sol.witness, sol.optimal, sol.nodes)

@@ -1,8 +1,9 @@
 """The shortest-path-DAG monitoring kernel and the set check against the
 deletion and path-counting oracles; the bitset forcing rules, the trusted
 orientation, the lazy certificate, the parallel spectrum and the cover
-searches against their references; the MEG optimality flag, the shared budget fallback and
-CLI input handling."""
+searches against their references; MEG optimality by exhaustion and its
+flag, the per-component certificate of disconnected graphs, the shared
+budget fallback and CLI input handling."""
 import copy
 import io
 import json
@@ -170,20 +171,33 @@ def test_meg_reports_unproven_answer():
     assert res.optimal and res.size == 4 and res.nodes > 0
 
 
-def test_meg_branch_and_bound_starts_from_all_vertices():
-    # more than 24 free vertices, so the search is branch-and-bound; started
-    # from all n vertices, not from the greedy, it returns the first optimal
-    # cover in search order (on these graphs the greedy is an optimal cover
-    # with other vertices)
+def test_meg_branch_and_bound_starts_from_the_greedy():
+    # more than 24 free vertices, so the search is branch-and-bound, and it
+    # starts from the greedy cover, as a MAG search does: the reference
+    # search from that greedy, on the deletion oracle's pair table, takes
+    # the same nodes to the same witness
     for seed in (0, 4, 16, 18, 23, 24):
         G = random_connected_undirected(random.Random(seed), 40, extra=5)
         forced = frozenset(v for v in range(G.n) if G.degree(v) == 1)
         assert G.n - len(forced) > 24
-        problem = CoverProblem(G.n, (1 << G.m) - 1, pair_table(G), forced, max(2, len(forced)))
-        expected = solve_cover_branch_bound(problem)
+        problem = CoverProblem(G.n, (1 << G.m) - 1, undirected_deletion_pair_table(G), forced, max(2, len(forced)))
+        expected = helpers.solve_cover_branch_bound(problem, upper_witness=greedy_cover(problem))
         res = min_meg_set(G)
         assert res.optimal and expected.optimal
         assert (res.size, res.witness, res.nodes) == (expected.size, expected.witness, expected.nodes)
+
+
+def test_meg_is_optimal_by_exhaustion():
+    # the smallest vertex set whose pairs cover every edge of the deletion
+    # oracle's table, tried size by size over every vertex set
+    rng = random.Random(53)
+    for _ in range(40):
+        n = rng.randint(2, 8)
+        G = random_connected_undirected(rng, n, extra=rng.randint(0, 6))
+        res = min_meg_set(G)
+        assert res.optimal and _is_meg_set(G, res.witness) and res.size == len(res.witness)
+        smallest = next(k for k in range(n + 1) if any(_is_meg_set(G, s) for s in combinations(range(n), k)))
+        assert res.size == smallest
 
 
 def test_budget_fallback_keeps_greedy_on_both_strategies():
@@ -291,6 +305,36 @@ def test_lazy_coverage_equals_eager_certificate(g):
     assert unread.coverage == want  # built after the round trip
     assert pickle.loads(pickle.dumps(res)).coverage == want  # carried over
     assert unread == res
+
+
+def test_disconnected_coverage_builds_only_component_rows(monkeypatch):
+    # 40 interleaved directed paths i -> 40 + i -> 80 + i and a 6-cycle with
+    # a chord: each component is solved and certified from its own rows, so
+    # no kernel row spans the whole graph
+    paths = [(i, 40 + i) for i in range(40)] + [(40 + i, 80 + i) for i in range(40)]
+    cycle = [(120 + i, 120 + (i + 1) % 6) for i in range(6)] + [(120, 123)]
+    g = OrientedGraph(126, tuple(paths + cycle))
+    lengths = []
+    row = monitoring._sole_route_row
+    monkeypatch.setattr(monitoring, "_sole_route_row", lambda adj, x: lengths.append(len(adj)) or row(adj, x))
+    res = min_mag_set(g)
+    assert res.coverage == _eager_certificate(g, res.witness)
+    assert set(res.coverage) == set(range(g.m))
+    assert lengths and max(lengths) <= 6
+
+
+def test_disconnected_coverage_matches_deletion_oracle():
+    rng = random.Random(61)
+    tried = 0
+    while tried < 25:
+        g = random_oriented(rng, rng.randint(8, 14), p=0.2)
+        if sum(len(comp) > 1 for comp in g.components()) < 2:
+            continue  # fewer than two components with arcs
+        tried += 1
+        res = min_mag_set(g)
+        assert res.optimal and is_mag_set(g, res.witness)[0]
+        assert res.coverage == _eager_certificate(g, res.witness)
+        assert set(res.coverage) == set(range(g.m))
 
 
 @settings(max_examples=3, deadline=None)

@@ -10,7 +10,8 @@ vertices outside the forced set are swept, more are branched over.
 * cardinality sweep -- enumerate all supersets of the forced set of size
   k, k+1, ... with incremental coverage;
 * branch-and-bound  -- pick an uncovered target with the smallest
-  admissible pair family, branch over its pairs.
+  admissible pair family, branch over its pairs, and ban from the later
+  siblings each vertex a finished child added alone.
 
 A greedy cover is built only when a search needs one: always as the
 branch-and-bound incumbent, and as the sweep's answer only when its budget
@@ -31,6 +32,19 @@ that shrank during its parent's loop, is entered one short, and it returns
 right after its cover test.  The sweep tests the sets of the size being
 tried inline in the same way.
 
+Branch-and-bound prunes sets it has already searched by exclusion
+branching, the disjoint-subproblem rule of set-cover branching.  A child
+that adds one vertex v, the other end of its pair being in the node's set
+S, bans v once it returns: its later siblings and their subtrees skip
+every pair that would add a banned vertex.  This is exact: a cover C
+holding S and no banned vertex is found below the first pair of the
+target that lies inside C, since no earlier sibling banned a vertex of C.
+Nor does it change the answer: the search without the rule enters a
+superset of the nodes in the same order, and the ones it adds hold a
+banned vertex, so none of them improves the best cover.  So the same
+witness comes out in no more nodes, and a budget that runs out holds a
+cover no larger.  A pair with neither end in S bans nothing.
+
 A branch-and-bound node that branches keeps the gain list of its path:
 ``gain[v]`` is the OR of ``rows[v][c]`` over the c in its set.  A child's
 coverage, or a leaf's cover test, reads one entry per added vertex instead
@@ -38,8 +52,8 @@ of ORing its rows to every chosen vertex.  A node two short builds no list:
 each leaf it tests reads its parent's entry and ORs in the rows of the
 node's own added vertices.  None of this changes the search: the nodes
 counted, their order, the witnesses and the node at which an exhausted
-budget stops are those of a search that enters every node and ORs the
-rows of each one's set.
+budget stops are those of a search with the same bans that enters every
+node and ORs the rows of each one's set.
 """
 from __future__ import annotations
 
@@ -212,6 +226,11 @@ def solve_cover_branch_bound(
     target, starting from the known cover ``upper_witness`` (all n
     vertices when none is given).
 
+    ``ban`` masks the vertices no pair may add: each one a finished
+    earlier child of this node or of an ancestor added alone.  A node two
+    short bans each vertex it has tested as a leaf, so a later pair adding
+    it again is skipped.
+
     A node holds its ``k`` vertices as the bitmask ``cmask`` and keeps the
     invariant ``gain[v] == OR of rows[v][c] over c in cmask``.  A child
     adding x covers ``cov | gain[x]``; one adding x and y covers
@@ -223,7 +242,8 @@ def solve_cover_branch_bound(
     into the parent's entry.  The first uncovered target in ``order`` only
     moves forward along a path, so its position is handed down.  None of
     this changes the node counts, the visit order, the witnesses or the
-    node where a budget stops."""
+    node where a budget stops, against a search with the same bans that
+    enters every node."""
     check_budget(max_nodes)
     n = problem.n
     full = problem.full_mask
@@ -243,7 +263,9 @@ def solve_cover_branch_bound(
     admissible: dict[int, list[tuple[int, int]]] = {}  # target bit -> its pairs, in lex order
     nodes = 0
 
-    def rec(k: int, cmask: int, cov: int, gain: list[int], added: tuple[int, ...], pos: int) -> None:
+    def rec(
+        k: int, cmask: int, cov: int, gain: list[int], added: tuple[int, ...], pos: int, ban: int
+    ) -> None:
         nonlocal best, nodes
         nodes += 1
         if nodes > max_nodes:
@@ -275,6 +297,8 @@ def solve_cover_branch_bound(
                     v = x
                 else:
                     continue
+                if ban >> v & 1:
+                    continue
                 nodes += 1
                 if nodes > max_nodes:
                     raise _BudgetStop
@@ -285,17 +309,20 @@ def solve_cover_branch_bound(
                     cmask |= 1 << v
                     best = [u for u in range(n) if cmask >> u & 1]
                     return
+                ban |= 1 << v
             return
         for a in added:
             gain = [g | r for g, r in zip(gain, rows[a])]
         for x, y in pick_pairs:
             if cmask >> x & 1:
-                if k + 1 < limit:
-                    rec(k + 1, cmask | 1 << y, cov | gain[y], gain, (y,), pos)
+                if k + 1 < limit and not ban >> y & 1:
+                    rec(k + 1, cmask | 1 << y, cov | gain[y], gain, (y,), pos, ban)
+                    ban |= 1 << y
             elif cmask >> y & 1:
-                if k + 1 < limit:
-                    rec(k + 1, cmask | 1 << x, cov | gain[x], gain, (x,), pos)
-            elif k + 2 < limit:
+                if k + 1 < limit and not ban >> x & 1:
+                    rec(k + 1, cmask | 1 << x, cov | gain[x], gain, (x,), pos, ban)
+                    ban |= 1 << x
+            elif k + 2 < limit and not (ban >> x | ban >> y) & 1:
                 child_cov = cov | gain[x] | gain[y] | rows[x][y]
                 if k + 3 == limit:  # the child is a leaf: count and test it here
                     nodes += 1
@@ -305,12 +332,12 @@ def solve_cover_branch_bound(
                         cmask_xy = cmask | 1 << x | 1 << y
                         best = [u for u in range(n) if cmask_xy >> u & 1]
                 else:
-                    rec(k + 2, cmask | 1 << x | 1 << y, child_cov, gain, (x, y), pos)
+                    rec(k + 2, cmask | 1 << x | 1 << y, child_cov, gain, (x, y), pos, ban)
             limit = len(best)
 
     fmask = sum(1 << f for f in forced)
     try:
-        rec(len(forced), fmask, root_cov, [0] * n, forced, 0)
+        rec(len(forced), fmask, root_cov, [0] * n, forced, 0, 0)
     except _BudgetStop:
         lower = max(problem.lower_bound, len(forced))
         return CoverSolution(len(best), tuple(best), False, nodes, lower)
@@ -322,29 +349,29 @@ def solve_cover_branch_bound(
 def greedy_cover(problem: CoverProblem) -> tuple[int, ...]:
     """A valid cover: the forced seed, then repeatedly the vertex covering
     the most new targets (ties to the lowest index), until everything is
-    covered and at least one pair is chosen."""
+    covered and at least one pair is chosen.  ``gain[v]`` is the OR of
+    ``rows[v][c]`` over the chosen c, updated once per pick."""
     rows = problem.rows
     full = problem.full_mask
-    chosen = sorted(problem.forced)
-    cov = coverage_of(problem, chosen)
-    while cov != full or len(chosen) < 2:
+    gain = [0] * problem.n
+    cmask = 0
+    for f in problem.forced:
+        gain = [g | r for g, r in zip(gain, rows[f])]
+        cmask |= 1 << f
+    cov = coverage_of(problem, tuple(problem.forced))
+    while cov != full or cmask.bit_count() < 2:
+        uncovered = full & ~cov
         best_v, best_gain = -1, -1
-        for v in range(problem.n):
-            if v in chosen:
+        for v, gv in enumerate(gain):
+            if cmask >> v & 1:
                 continue
-            gain_mask = 0
-            row_v = rows[v]
-            for c in chosen:
-                gain_mask |= row_v[c]
-            gain = (gain_mask & ~cov).bit_count()
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        row_v = rows[best_v]
-        for c in chosen:
-            cov |= row_v[c]
-        chosen.append(best_v)
-        chosen.sort()
-    return tuple(chosen)
+            new = (gv & uncovered).bit_count()
+            if new > best_gain:
+                best_v, best_gain = v, new
+        cov |= gain[best_v]
+        cmask |= 1 << best_v
+        gain = [g | r for g, r in zip(gain, rows[best_v])]
+    return tuple(v for v in range(problem.n) if cmask >> v & 1)
 
 
 def sweeps(n: int, forced: int) -> bool:

@@ -333,6 +333,27 @@ def mag_problem(g: OrientedGraph, forced: frozenset[int], lower: int) -> CoverPr
     return CoverProblem(g.n, (1 << g.m) - 1, pair_table(g), forced, lower)
 
 
+def brute_min_cover(problem: CoverProblem) -> int:
+    """The fewest vertices of a superset of the forced set whose pairs
+    cover every target, from the coverage of every vertex set; only sane
+    for n <= 14 or so."""
+    rows = problem.rows
+    fmask = sum(1 << f for f in problem.forced)
+    cov = [0] * (1 << problem.n)
+    fewest = problem.n
+    for s in range(1, 1 << problem.n):
+        v = s.bit_length() - 1
+        rest = s ^ 1 << v
+        extra = 0
+        for c in range(v):
+            if rest >> c & 1:
+                extra |= rows[v][c]
+        cov[s] = cov[rest] | extra
+        if cov[s] == problem.full_mask and s & fmask == fmask:
+            fewest = min(fewest, s.bit_count())
+    return fewest
+
+
 class _Budget:
     __slots__ = ("left",)
 
@@ -413,10 +434,18 @@ def solve_cover_branch_bound(
     problem: CoverProblem,
     max_nodes: int = 10_000_000,
     upper_witness: Sequence[int] | None = None,
+    exclusion: bool = True,
 ) -> CoverSolution:
     """Branch over the admissible pairs of a most-constrained uncovered
     target, starting from the known cover ``upper_witness`` (all n
-    vertices when none is given)."""
+    vertices when none is given).
+
+    With ``exclusion``, a child that adds one vertex v (the other end of
+    its pair is already chosen) bans v once it returns: every later
+    sibling, and every node below one, skips a pair that would add a
+    banned vertex.  A cover holding the chosen set and v but no vertex
+    banned before v was searched for in that child, so the later ones can
+    only re-enter sets already entered."""
     budget = _Budget(max_nodes)
     n = problem.n
     full = problem.full_mask
@@ -435,7 +464,7 @@ def solve_cover_branch_bound(
     admissible: dict[int, list[tuple[int, int]]] = {}  # target bit -> its pairs, in lex order
     nodes = 0
 
-    def rec(chosen: set[int], cov: int) -> None:
+    def rec(chosen: set[int], cov: int, banned: frozenset[int]) -> None:
         nonlocal best, nodes
         nodes += 1
         if not budget.spend():
@@ -455,29 +484,55 @@ def solve_cover_branch_bound(
             pick_pairs = admissible[bit] = [key for key, mk in zip(keys, pm) if mk & bit]
         k, limit = len(chosen), len(best)
         for x, y in pick_pairs:
-            add_x, add_y = x not in chosen, y not in chosen
-            if k + add_x + add_y >= limit:
+            adds = {x, y} - chosen
+            if adds & banned or k + len(adds) >= limit:
                 continue
-            extra = 0
             new = set(chosen)
-            if add_x:
-                row_x = rows[x]
-                for c in chosen:
-                    extra |= row_x[c]
-                new.add(x)
-            if add_y:
-                row_y = rows[y]
+            extra = 0
+            for v in sorted(adds):
+                row_v = rows[v]
                 for c in new:
-                    extra |= row_y[c]
-                new.add(y)
-            rec(new, cov | extra)
+                    extra |= row_v[c]
+                new.add(v)
+            rec(new, cov | extra, banned)
+            if exclusion and len(adds) == 1:
+                banned = banned | adds
             limit = len(best)
 
     try:
-        rec(set(forced), root_cov)
+        rec(set(forced), root_cov, frozenset())
     except _BudgetStop:
         lower = max(problem.lower_bound, len(forced))
         return CoverSolution(len(best), tuple(best), False, nodes, lower)
     finally:
         del rec  # rec refers to itself: unbind it so the search state is freed now
     return CoverSolution(len(best), tuple(best), True, nodes, len(best))
+
+
+def greedy_cover(problem: CoverProblem) -> tuple[int, ...]:
+    """The greedy cover as a list search: the forced seed, then repeatedly
+    the unchosen vertex whose rows to the chosen ones cover the most new
+    targets (ties to the lowest index), until everything is covered and at
+    least one pair is chosen."""
+    rows = problem.rows
+    full = problem.full_mask
+    chosen = sorted(problem.forced)
+    cov = coverage_of(problem, chosen)
+    while cov != full or len(chosen) < 2:
+        best_v, best_gain = -1, -1
+        for v in range(problem.n):
+            if v in chosen:
+                continue
+            gain_mask = 0
+            row_v = rows[v]
+            for c in chosen:
+                gain_mask |= row_v[c]
+            gain = (gain_mask & ~cov).bit_count()
+            if gain > best_gain:
+                best_v, best_gain = v, gain
+        row_v = rows[best_v]
+        for c in chosen:
+            cov |= row_v[c]
+        chosen.append(best_v)
+        chosen.sort()
+    return tuple(chosen)

@@ -414,6 +414,58 @@ def test_cover_searches_match_reference(problem, data):
             assert fast(problem, budget, *known) == reference(problem, budget, *known)
 
 
+@settings(max_examples=200, deadline=None)
+@given(cover_problems(), st.booleans(), st.data())
+def test_exclusion_branching_is_exact(problem, from_greedy, data):
+    # the search that bans a vertex once a child adding it has returned
+    # enters a subsequence of the nodes of the search that bans nothing,
+    # with the same best cover at every node they share: the same size as
+    # it and as brute force, the same witness, and no more nodes; under a
+    # budget it holds a cover no larger, the same one when both prove it
+    known = (greedy_cover(problem),) if from_greedy else ()
+    banned = solve_cover_branch_bound(problem, 10_000_000, *known)
+    plain = helpers.solve_cover_branch_bound(problem, 10_000_000, *known, exclusion=False)
+    assert banned.optimal and plain.optimal
+    assert banned.size == plain.size == helpers.brute_min_cover(problem)
+    assert banned.witness == plain.witness
+    assert banned.nodes <= plain.nodes
+    budget = data.draw(st.integers(1, plain.nodes))
+    banned = solve_cover_branch_bound(problem, budget, *known)
+    plain = helpers.solve_cover_branch_bound(problem, budget, *known, exclusion=False)
+    assert banned.size <= plain.size
+    if plain.optimal:
+        assert banned.optimal and banned.witness == plain.witness
+
+
+@st.composite
+def random_row_problems(draw) -> CoverProblem:
+    """A cover problem on at most 30 vertices with random pair masks over
+    at most 40 targets (every target some pair's), and a random forced set."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = rng.randint(2, 30)
+    width = rng.randint(1, 40)
+    density = rng.choice((0.02, 0.1, 0.3))
+    rows = [[0] * n for _ in range(n)]
+    for x, y in combinations(range(n), 2):
+        mask = sum(1 << t for t in range(width) if rng.random() < density)
+        rows[x][y] = rows[y][x] = mask
+    full = 0
+    for row in rows:
+        for mask in row:
+            full |= mask
+    assume(full)
+    forced = frozenset(v for v in range(n) if rng.random() < 0.2)
+    return CoverProblem(n, full, rows, forced)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_row_problems())
+def test_greedy_matches_list_greedy(problem):
+    # the running gain list picks what re-ORing each candidate's rows
+    # against a list of chosen vertices picks, ties to the lowest index
+    assert greedy_cover(problem) == helpers.greedy_cover(problem)
+
+
 def test_branch_bound_optimum_first_reached_as_a_pair_leaf():
     # here branch-and-bound first reaches its optimum, 6 of the 10 vertices,
     # as a child adding two vertices to a node three short of the bound:

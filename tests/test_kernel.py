@@ -466,6 +466,20 @@ def test_greedy_matches_list_greedy(problem):
     assert greedy_cover(problem) == helpers.greedy_cover(problem)
 
 
+@settings(max_examples=100, deadline=None)
+@given(random_row_problems(), st.data())
+def test_branch_bound_matches_reference_on_random_rows(problem, data):
+    # random masks on up to 30 vertices give the bitmask leaf tests wider
+    # rows than the MAG problems do; every budget drawn stops the search on
+    # the reference's node, holding the reference's cover
+    known = greedy_cover(problem)
+    budgets = {1, 2_000, data.draw(st.integers(1, 2_000))}
+    for budget in sorted(budgets):
+        assert solve_cover_branch_bound(problem, budget, known) == helpers.solve_cover_branch_bound(
+            problem, budget, known
+        )
+
+
 def test_branch_bound_optimum_first_reached_as_a_pair_leaf():
     # here branch-and-bound first reaches its optimum, 6 of the 10 vertices,
     # as a child adding two vertices to a node three short of the bound:
@@ -478,6 +492,17 @@ def test_branch_bound_optimum_first_reached_as_a_pair_leaf():
         for budget in range(1, whole.nodes + 2):
             got = solve_cover_branch_bound(problem, budget, *known)
             assert got == helpers.solve_cover_branch_bound(problem, budget, *known)
+
+
+def test_branch_bound_pair_leaf_reads_the_rows_of_its_node():
+    # a node three short builds no gain list: a leaf adding both ends of a
+    # pair reads its parent's entries and the rows of the node's own added
+    # vertices; here the first cover, 8 of the 9 vertices, needs the latter
+    problem = mag_problem(random_oriented(random.Random(57), 9, 0.3), frozenset(), 0)
+    whole = helpers.solve_cover_branch_bound(problem, 10_000_000)
+    assert (whole.size, whole.optimal) == (8, True)
+    for budget in range(1, whole.nodes + 2):
+        assert solve_cover_branch_bound(problem, budget) == helpers.solve_cover_branch_bound(problem, budget)
 
 
 @settings(max_examples=100, deadline=None)

@@ -45,18 +45,24 @@ banned vertex, so none of them improves the best cover.  So the same
 witness comes out in no more nodes, and a budget that runs out holds a
 cover no larger.  A pair with neither end in S bans nothing.
 
-A branch-and-bound node four or more vertices short keeps the gain list
-of its path: ``gain[v]`` is the OR of ``rows[v][c]`` over the c in its
-set.  A child's coverage, or a leaf's cover test, reads one entry per
-vertex instead of ORing its rows to every chosen vertex.  Nodes two and
-three short build no list: they read the last one on their path and OR in
-the rows of the vertices added since.  A node three short counts and
-handles its children in its own loop, and a node two short tests its
-leaves as one bitmask of candidates, walking them in pair order only when
-one of them covers.  None of this changes the search: the nodes counted,
-their order, the witnesses and the node at which an exhausted budget stops
-are those of a search with the same bans that enters every node and ORs
-the rows of each one's set.
+Bans can leave an uncovered target with a banned vertex in every one of
+its pairs.  No cover lies below a node with such a target, so a node at
+least four vertices short of the bound checks its uncovered targets and
+returns when it finds one.  This too only skips nodes that hold no cover,
+so the witness stays the same.  Nearer the bound a subtree is smaller
+than the check.
+
+A branch-and-bound node that branches keeps the gain list of its path:
+``gain[v]`` is the OR of ``rows[v][c]`` over the c in its set.  A child's
+coverage, or a leaf's cover test, reads one entry per added vertex instead
+of ORing its rows to every chosen vertex.  A node two short builds no list:
+each leaf it tests reads its parent's entry and ORs in the rows of the
+node's own added vertices.  It takes its leaves from bitmasks, the
+unbanned partners in its set for the target's pairs, in the order of those
+pairs, rather than walking the pair list.  None of this changes the
+search: the nodes counted, their order, the witnesses and the node at
+which an exhausted budget stops are those of a search with the same bans
+and cuts that enters every node and ORs the rows of each one's set.
 """
 from __future__ import annotations
 
@@ -232,24 +238,22 @@ def solve_cover_branch_bound(
     ``ban`` masks the vertices no pair may add: each one a finished
     earlier child of this node or of an ancestor added alone.  A node two
     short tests each vertex once as a leaf, so a later pair adding it
-    again is skipped.
+    again is skipped.  A node four or more short returns when an uncovered
+    target has a banned vertex in every pair.
 
-    A node holds its ``k`` vertices as the bitmask ``cmask``.  The gain
-    list of a set keeps ``gain[v] == OR of rows[v][c] over c in the set``;
-    a node reads the last list built on its path and ORs in the rows of
-    the vertices added since, its ``added``.  A node four or more short
-    builds its own list for its children, so a child adding x covers
-    ``cov | gain[x]``, and one adding x and y
-    ``cov | gain[x] | gain[y] | rows[x][y]``.  A node three short builds
-    none: its children are leaves or nodes two short, counted and handled
-    in its own loop.  A node two short finds its leaves as a bitmask, the
-    partners in its set of its target's pairs (``cols`` caches, per target,
-    those of the list's own set), tests them all, and walks them in pair
-    order only when one covers, to take the first.  The first uncovered
-    target in ``order`` only moves forward along a path, so its position is
-    handed down.  None of this changes the node counts, the visit order,
-    the witnesses or the node where a budget stops, against a search with
-    the same bans that enters every node."""
+    A node holds its ``k`` vertices as the bitmask ``cmask`` and keeps the
+    invariant ``gain[v] == OR of rows[v][c] over c in cmask``.  A child
+    adding x covers ``cov | gain[x]``; one adding x and y covers
+    ``cov | gain[x] | gain[y] | rows[x][y]``.  A child one vertex short of
+    the bound is a leaf, counted and tested in its parent's loop, not
+    entered.  So a node builds its list from its parent's only when it
+    branches: not after an early return, which most children take, nor at
+    a node two short, whose leaves OR the rows of its ``added`` vertices
+    into the parent's entry.  The first uncovered target in ``order`` only
+    moves forward along a path, so its position is handed down.  None of
+    this changes the node counts, the visit order, the witnesses or the
+    node where a budget stops, against a search with the same bans that
+    enters every node."""
     check_budget(max_nodes)
     n = problem.n
     full = problem.full_mask
@@ -266,90 +270,26 @@ def solve_cover_branch_bound(
     counts = _bit_counts(pair_masks, full.bit_length())
     order = [1 << t for t in sorted(range(len(counts)), key=lambda t: (counts[t], t))]
     keys = [(x, y) for x in range(n) for y in range(x + 1, n)]
-    # target bit -> its pairs in lex order as (x, y, both ends' bits), the
-    # partner mask of each vertex, and the vertices with a partner
+    # target bit -> its pairs in lex order as (x, y, both ends' bits), each
+    # vertex's partners in those pairs, and the vertices with a partner
     admissible: dict[int, tuple[list[tuple[int, int, int]], list[int], int]] = {}
     nodes = 0
 
-    def admissible_of(bit: int):
-        pairs = [(x, y, 1 << x | 1 << y) for (x, y), mk in zip(keys, pair_masks) if mk & bit]
-        partners = [0] * n
-        for x, y, _ in pairs:
-            partners[x] |= 1 << y
-            partners[y] |= 1 << x
-        touched = sum(1 << v for v in range(n) if partners[v])
-        entry = admissible[bit] = (pairs, partners, touched)
+    def admissible_of(bit: int) -> tuple[list[tuple[int, int, int]], list[int], int]:
+        entry = admissible.get(bit)
+        if entry is None:
+            pairs = [(x, y, 1 << x | 1 << y) for (x, y), mk in zip(keys, pair_masks) if mk & bit]
+            partners = [0] * n
+            for x, y, _ in pairs:
+                partners[x] |= 1 << y
+                partners[y] |= 1 << x
+            touched = sum(1 << v for v in range(n) if partners[v])
+            entry = admissible[bit] = (pairs, partners, touched)
         return entry
 
-    def leaves(cmask: int, cov: int, gain: list[int], cols: dict[int, int],
-               added: tuple[int, ...], pos: int, ban: int) -> None:
-        # the leaves of a node two short, already counted: every child
-        # within the bound adds one vertex, the partner in the set of a
-        # pair of the target; the first cover in pair order ends the node
-        nonlocal best, nodes
-        uncovered = full & ~cov
-        while not uncovered & order[pos]:
-            pos += 1
-        bit = order[pos]
-        _, partners, touched = admissible.get(bit) or admissible_of(bit)
-        inside = cmask & touched
-        cand = cols.get(bit)
-        if cand is None:
-            cand = 0
-            rest = inside
-            for a in added:
-                rest &= ~(1 << a)
-            while rest:
-                low = rest & -rest
-                cand |= partners[low.bit_length() - 1]
-                rest ^= low
-            cols[bit] = cand
-        for a in added:
-            cand |= partners[a]
-        cand &= ~(cmask | ban)
-        hit = 0
-        rest = cand
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            gv = gain[v]
-            for a in added:
-                gv |= rows[a][v]
-            if cov | gv == full:
-                hit |= low
-        if not hit:  # every candidate is a leaf that fails its test
-            nodes += cand.bit_count()
-            if nodes > max_nodes:
-                nodes = max_nodes + 1
-                raise _BudgetStop
-            return
-        # pair order: row x of a vertex x in the set adds its partners not
-        # yet added, row x of a candidate adds x itself
-        rows_left = inside | cand
-        while cand:
-            low = rows_left & -rows_left
-            rows_left ^= low
-            if low & cmask:
-                vs = partners[low.bit_length() - 1] & cand
-            elif low & cand:
-                vs = low
-            else:
-                continue
-            cand &= ~vs
-            while vs:
-                low = vs & -vs
-                vs ^= low
-                nodes += 1
-                if nodes > max_nodes:
-                    raise _BudgetStop
-                if low & hit:
-                    cmask |= low
-                    best = [u for u in range(n) if cmask >> u & 1]
-                    return
-
-    def rec(k: int, cmask: int, cov: int, gain: list[int], cols: dict[int, int],
-            added: tuple[int, ...], pos: int, ban: int) -> None:
+    def rec(
+        k: int, cmask: int, cov: int, gain: list[int], added: tuple[int, ...], pos: int, ban: int
+    ) -> None:
         nonlocal best, nodes
         nodes += 1
         if nodes > max_nodes:
@@ -362,77 +302,91 @@ def solve_cover_branch_bound(
             return
         if k + 1 >= limit:
             return  # every child adds a vertex, so none beats the bound
-        if k + 2 == limit:
-            leaves(cmask, cov, gain, cols, added, pos, ban)
-            return
         uncovered = full & ~cov
         while not uncovered & order[pos]:
             pos += 1
-        pairs = (admissible.get(order[pos]) or admissible_of(order[pos]))[0]
-        if k + 3 == limit:
-            # a child adding both ends of its pair is a leaf, and one adding
-            # a single vertex is two short: count and test each here, and
-            # take the leaves of the latter from its own target
-            for x, y, xy in pairs:
-                if xy & ban:
-                    continue
-                if cmask >> x & 1:
-                    v = y
-                elif cmask >> y & 1:
-                    v = x
+        pick_pairs, partners, touched = admissible_of(order[pos])
+        if k + 2 == limit:
+            # every child within the bound adds one vertex and is a leaf:
+            # count and test each here, and stop at the first cover, which
+            # puts every later sibling at the bound; the list is the
+            # parent's, so the rows of this node's own vertices are ORed in.
+            # The leaves are the unbanned partners in the set, taken in pair
+            # order: row x of a vertex x in the set holds its partners not
+            # yet taken, row x of a leaf vertex x holds x itself
+            inside = cmask & touched
+            cand = 0
+            rest = inside
+            while rest:
+                low = rest & -rest
+                cand |= partners[low.bit_length() - 1]
+                rest ^= low
+            cand &= ~(cmask | ban)
+            rows_left = inside | cand
+            while cand:
+                low = rows_left & -rows_left
+                rows_left ^= low
+                if low & cmask:
+                    vs = partners[low.bit_length() - 1] & cand
+                elif low & cand:
+                    vs = low
                 else:
-                    if k + 2 < limit:
-                        child_cov = cov | gain[x] | gain[y] | rows[x][y]
-                        for a in added:
-                            row_a = rows[a]
-                            child_cov |= row_a[x] | row_a[y]
-                        nodes += 1
-                        if nodes > max_nodes:
-                            raise _BudgetStop
-                        if child_cov == full:
-                            cmask_xy = cmask | xy
-                            best = [u for u in range(n) if cmask_xy >> u & 1]
-                            limit = len(best)
                     continue
-                if k + 1 < limit:
-                    child_cov = cov | gain[v]
+                cand &= ~vs
+                while vs:
+                    low = vs & -vs
+                    vs ^= low
+                    v = low.bit_length() - 1
+                    nodes += 1
+                    if nodes > max_nodes:
+                        raise _BudgetStop
+                    gv = gain[v]
                     for a in added:
-                        child_cov |= rows[a][v]
+                        gv |= rows[a][v]
+                    if cov | gv == full:
+                        cmask |= low
+                        best = [u for u in range(n) if cmask >> u & 1]
+                        return
+            return
+        if k + 4 <= limit:
+            # a target whose every pair holds a banned vertex can no longer
+            # be covered, so no cover lies below this node
+            for p in range(pos, len(order)):
+                if uncovered & order[p]:
+                    for _, _, xy in admissible_of(order[p])[0]:
+                        if not xy & ban:
+                            break
+                    else:
+                        return
+        for a in added:
+            gain = [g | r for g, r in zip(gain, rows[a])]
+        for x, y, xy in pick_pairs:
+            if xy & ban:
+                continue
+            if cmask >> x & 1:
+                if k + 1 < limit:
+                    rec(k + 1, cmask | 1 << y, cov | gain[y], gain, (y,), pos, ban)
+                    ban |= 1 << y
+            elif cmask >> y & 1:
+                if k + 1 < limit:
+                    rec(k + 1, cmask | 1 << x, cov | gain[x], gain, (x,), pos, ban)
+                    ban |= 1 << x
+            elif k + 2 < limit:
+                child_cov = cov | gain[x] | gain[y] | rows[x][y]
+                if k + 3 == limit:  # the child is a leaf: count and test it here
                     nodes += 1
                     if nodes > max_nodes:
                         raise _BudgetStop
                     if child_cov == full:
-                        cmask_v = cmask | 1 << v
-                        best = [u for u in range(n) if cmask_v >> u & 1]
-                        limit = len(best)
-                    elif k + 3 == limit:
-                        leaves(cmask | 1 << v, child_cov, gain, cols, added + (v,), pos, ban)
-                        limit = len(best)
-                    ban |= 1 << v
-            return
-        for a in added:
-            gain = [g | r for g, r in zip(gain, rows[a])]
-        cols = {}
-        for x, y, xy in pairs:
-            if xy & ban:
-                continue
-            if cmask >> x & 1:
-                v = y
-            elif cmask >> y & 1:
-                v = x
-            else:
-                if k + 2 < limit:
-                    rec(k + 2, cmask | xy, cov | gain[x] | gain[y] | rows[x][y], gain, cols, (x, y), pos, ban)
-                    limit = len(best)
-                continue
-            if k + 1 < limit:
-                rec(k + 1, cmask | 1 << v, cov | gain[v], gain, cols, (v,), pos, ban)
-                ban |= 1 << v
-                limit = len(best)
+                        cmask_xy = cmask | 1 << x | 1 << y
+                        best = [u for u in range(n) if cmask_xy >> u & 1]
+                else:
+                    rec(k + 2, cmask | 1 << x | 1 << y, child_cov, gain, (x, y), pos, ban)
+            limit = len(best)
 
     fmask = sum(1 << f for f in forced)
     try:
-        rec(len(forced), fmask, root_cov, [0] * n, {}, forced, 0, 0)
+        rec(len(forced), fmask, root_cov, [0] * n, forced, 0, 0)
     except _BudgetStop:
         lower = max(problem.lower_bound, len(forced))
         return CoverSolution(len(best), tuple(best), False, nodes, lower)

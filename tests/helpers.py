@@ -445,7 +445,9 @@ def solve_cover_branch_bound(
     sibling, and every node below one, skips a pair that would add a
     banned vertex.  A cover holding the chosen set and v but no vertex
     banned before v was searched for in that child, so the later ones can
-    only re-enter sets already entered."""
+    only re-enter sets already entered.  A node at least four vertices
+    short of the best cover returns when some uncovered target has a
+    banned vertex in every one of its pairs: no cover lies below it."""
     budget = _Budget(max_nodes)
     n = problem.n
     full = problem.full_mask
@@ -475,14 +477,22 @@ def solve_cover_branch_bound(
             best = sorted(chosen)
             return
         uncovered = full & ~cov
+
+        def pairs_of(bit: int) -> list[tuple[int, int]]:
+            if bit not in admissible:
+                pm = problem.pair_masks
+                admissible[bit] = [key for key, mk in zip(keys, pm) if mk & bit]
+            return admissible[bit]
+
+        k, limit = len(chosen), len(best)
+        if k + 4 <= limit:
+            for bit in order:
+                if uncovered & bit and all({x, y} & banned for x, y in pairs_of(bit)):
+                    return
         for bit in order:
             if uncovered & bit:
                 break
-        pick_pairs = admissible.get(bit)
-        if pick_pairs is None:
-            pm = problem.pair_masks
-            pick_pairs = admissible[bit] = [key for key, mk in zip(keys, pm) if mk & bit]
-        k, limit = len(chosen), len(best)
+        pick_pairs = pairs_of(bit)
         for x, y in pick_pairs:
             adds = {x, y} - chosen
             if adds & banned or k + len(adds) >= limit:

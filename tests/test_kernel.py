@@ -494,17 +494,6 @@ def test_branch_bound_optimum_first_reached_as_a_pair_leaf():
             assert got == helpers.solve_cover_branch_bound(problem, budget, *known)
 
 
-def test_branch_bound_pair_leaf_reads_the_rows_of_its_node():
-    # a node three short builds no gain list: a leaf adding both ends of a
-    # pair reads its parent's entries and the rows of the node's own added
-    # vertices; here the first cover, 8 of the 9 vertices, needs the latter
-    problem = mag_problem(random_oriented(random.Random(57), 9, 0.3), frozenset(), 0)
-    whole = helpers.solve_cover_branch_bound(problem, 10_000_000)
-    assert (whole.size, whole.optimal) == (8, True)
-    for budget in range(1, whole.nodes + 2):
-        assert solve_cover_branch_bound(problem, budget) == helpers.solve_cover_branch_bound(problem, budget)
-
-
 @settings(max_examples=100, deadline=None)
 @given(cover_problems(), st.data())
 def test_sweep_stop_and_budget_report_the_level_reached(problem, data):

@@ -348,7 +348,7 @@ def solve_cover_branch_bound(
                         best = [u for u in range(n) if cmask >> u & 1]
                         return
             return
-        if k + 4 <= limit:
+        if ban and k + 4 <= limit:
             # a target whose every pair holds a banned vertex can no longer
             # be covered, so no cover lies below this node
             for p in range(pos, len(order)):

@@ -280,10 +280,11 @@ def solve_cover_branch_bound(
         if entry is None:
             pairs = [(x, y, 1 << x | 1 << y) for (x, y), mk in zip(keys, pair_masks) if mk & bit]
             partners = [0] * n
-            for x, y, _ in pairs:
+            touched = 0
+            for x, y, xy in pairs:
                 partners[x] |= 1 << y
                 partners[y] |= 1 << x
-            touched = sum(1 << v for v in range(n) if partners[v])
+                touched |= xy
             entry = admissible[bit] = (pairs, partners, touched)
         return entry
 

@@ -83,7 +83,7 @@ def _report(args: argparse.Namespace, text: str, result: dict, stats: Optional[d
 
 def _emit(report: dict, started: float) -> None:
     report["wall_time"] = round(time.perf_counter() - started, 6)
-    json.dump(report, sys.stdout)
+    json.dump(report, sys.stdout, separators=(",", ":"))
     sys.stdout.write("\n")
 
 

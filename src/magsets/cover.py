@@ -4,8 +4,9 @@ Given a bitmask of targets per unordered vertex pair, find the smallest
 vertex set M such that the union of the masks of pairs inside M covers
 everything.  A problem holds the masks as one symmetric per-vertex table,
 ``rows[x][y]`` the mask of pair {x, y}, which the monitoring kernel builds
-straight from its rows.  The engine follows from the problem: at most 24
-vertices outside the forced set are swept, more are branched over.
+straight from its rows.  The engine follows from the problem: at most 15
+vertices outside the forced set are swept, more are branched over; a
+search told to give up at a level is swept, as only the sweep has levels.
 
 * cardinality sweep -- enumerate all supersets of the forced set of size
   k, k+1, ... with incremental coverage;
@@ -15,7 +16,10 @@ vertices outside the forced set are swept, more are branched over.
 
 A greedy cover is built only when a search needs one: always as the
 branch-and-bound incumbent, and as the sweep's answer only when its budget
-runs out.  Tie-breaking is by lowest vertex index everywhere, so the witness is
+runs out.  Branch-and-bound knows the lower bound max(bound, |F|): a greedy
+that meets it is returned before any set-up, and the first cover found at
+it ends the search.  Its set-up reads only the targets F leaves uncovered.
+Tie-breaking is by lowest vertex index everywhere, so the witness is
 reproducible bit-for-bit.
 
 Nodes that cannot have a child are not entered.  A search node is one
@@ -67,7 +71,7 @@ and cuts that enters every node and ORs the rows of each one's set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import BadParamError
 
@@ -158,7 +162,7 @@ def solve_cover_sweep(
         if remaining == 0:  # only when the forced set alone is tried
             nodes += 1
             if nodes > max_nodes:
-                raise _BudgetStop
+                raise _Stop
             return cov == full
         if remaining == 1:  # the leaves, tested here in the order they would be visited
             for idx in range(start, len(free)):
@@ -169,7 +173,7 @@ def solve_cover_sweep(
                     extra |= row_v[c]
                 nodes += 1
                 if nodes > max_nodes:
-                    raise _BudgetStop
+                    raise _Stop
                 if cov | extra == full:
                     found = chosen + [v]
                     return True
@@ -194,7 +198,7 @@ def solve_cover_sweep(
                 assert found is not None
                 witness = tuple(sorted(forced + tuple(found)))
                 return CoverSolution(k, witness, True, nodes, k)
-    except _BudgetStop:
+    except _Stop:
         return CoverSolution(problem.n, fallback, False, nodes, k)
     finally:
         del rec  # rec refers to itself: unbind it so the search state is freed now
@@ -203,12 +207,13 @@ def solve_cover_sweep(
     return CoverSolution(problem.n, fallback, False, nodes, stop)
 
 
-class _BudgetStop(Exception):
-    pass
+class _Stop(Exception):
+    """Unwinds a search whose budget ran out, or a branch-and-bound that
+    found a cover at its lower bound."""
 
 
-def _bit_counts(masks: Sequence[int], width: int) -> list[int]:
-    """For each bit position below ``width``, how many masks have it set.
+def _bit_counts(masks: Iterable[int], bits: Sequence[int]) -> list[int]:
+    """For each bit position in ``bits``, how many masks have it set.
 
     The masks are summed as vectors of 1-bit counters with carry-save
     addition: ``counters[i]`` holds bit i of every position's count.
@@ -223,7 +228,7 @@ def _bit_counts(masks: Sequence[int], width: int) -> list[int]:
             carry &= c
         if carry:
             counters.append(carry)
-    return [sum((c >> t & 1) << i for i, c in enumerate(counters)) for t in range(width)]
+    return [sum((c >> t & 1) << i for i, c in enumerate(counters)) for t in bits]
 
 
 def solve_cover_branch_bound(
@@ -233,43 +238,38 @@ def solve_cover_branch_bound(
 ) -> CoverSolution:
     """Branch over the admissible pairs of a most-constrained uncovered
     target, starting from the known cover ``upper_witness`` (all n
-    vertices when none is given).
+    vertices when none is given), until a cover meets the lower bound.
 
     ``ban`` masks the vertices no pair may add: each one a finished
-    earlier child of this node or of an ancestor added alone.  A node two
-    short tests each vertex once as a leaf, so a later pair adding it
-    again is skipped.  A node four or more short returns when an uncovered
-    target has a banned vertex in every pair.
-
-    A node holds its ``k`` vertices as the bitmask ``cmask`` and keeps the
-    invariant ``gain[v] == OR of rows[v][c] over c in cmask``.  A child
-    adding x covers ``cov | gain[x]``; one adding x and y covers
-    ``cov | gain[x] | gain[y] | rows[x][y]``.  A child one vertex short of
-    the bound is a leaf, counted and tested in its parent's loop, not
-    entered.  So a node builds its list from its parent's only when it
-    branches: not after an early return, which most children take, nor at
-    a node two short, whose leaves OR the rows of its ``added`` vertices
-    into the parent's entry.  The first uncovered target in ``order`` only
-    moves forward along a path, so its position is handed down.  None of
-    this changes the node counts, the visit order, the witnesses or the
-    node where a budget stops, against a search with the same bans that
-    enters every node."""
+    earlier child of this node or of an ancestor added alone, or a leaf a
+    node two short has tested.  A node holds its ``k`` vertices as the
+    bitmask ``cmask`` and keeps ``gain[v] == OR of rows[v][c] over c in
+    cmask``: a child adding x covers ``cov | gain[x]``, one adding x and y
+    ``cov | gain[x] | gain[y] | rows[x][y]``.  A node builds its list from
+    its parent's only when it branches; a node two short ORs the rows of
+    its ``added`` vertices into the parent's entry.  The first uncovered
+    target in ``order`` only moves forward along a path, so its position
+    is handed down."""
     check_budget(max_nodes)
     n = problem.n
     full = problem.full_mask
     forced = tuple(sorted(problem.forced))
+    lower = max(problem.lower_bound, len(forced))
     best = sorted(upper_witness) if upper_witness is not None else list(range(n))
     root_cov = coverage_of(problem, forced)
     if root_cov == full and len(forced) < len(best):
-        return CoverSolution(len(forced), forced, True, 1, len(forced))  # the root is a cover
+        best = list(forced)
+    if len(best) <= lower:
+        return CoverSolution(len(best), tuple(best), True, 0, len(best))
 
     rows = problem.rows
-    pair_masks = problem.pair_masks
     # the most-constrained uncovered target is the first uncovered one in
-    # this order: fewest admissible pairs, ties to the lowest index
-    counts = _bit_counts(pair_masks, full.bit_length())
-    order = [1 << t for t in sorted(range(len(counts)), key=lambda t: (counts[t], t))]
-    keys = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    # this order of the targets the root leaves uncovered: fewest admissible
+    # pairs, ties to the lowest index
+    left = full & ~root_cov
+    targets = [t for t in range(full.bit_length()) if left >> t & 1]
+    counts = _bit_counts((m for x, row in enumerate(rows) for mk in row[x + 1 :] if (m := mk & left)), targets)
+    order = [1 << t for _, t in sorted(zip(counts, targets))]
     # target bit -> its pairs in lex order as (x, y, both ends' bits), each
     # vertex's partners in those pairs, and the vertices with a partner
     admissible: dict[int, tuple[list[tuple[int, int, int]], list[int], int]] = {}
@@ -278,7 +278,7 @@ def solve_cover_branch_bound(
     def admissible_of(bit: int) -> tuple[list[tuple[int, int, int]], list[int], int]:
         entry = admissible.get(bit)
         if entry is None:
-            pairs = [(x, y, 1 << x | 1 << y) for (x, y), mk in zip(keys, pair_masks) if mk & bit]
+            pairs = [(x, y, 1 << x | 1 << y) for x, row in enumerate(rows) for y in range(x + 1, n) if row[y] & bit]
             partners = [0] * n
             touched = 0
             for x, y, xy in pairs:
@@ -294,7 +294,7 @@ def solve_cover_branch_bound(
         nonlocal best, nodes
         nodes += 1
         if nodes > max_nodes:
-            raise _BudgetStop
+            raise _Stop
         limit = len(best)
         if k >= limit:
             return
@@ -340,7 +340,7 @@ def solve_cover_branch_bound(
                     v = low.bit_length() - 1
                     nodes += 1
                     if nodes > max_nodes:
-                        raise _BudgetStop
+                        raise _Stop
                     gv = gain[v]
                     for a in added:
                         gv |= rows[a][v]
@@ -377,20 +377,22 @@ def solve_cover_branch_bound(
                 if k + 3 == limit:  # the child is a leaf: count and test it here
                     nodes += 1
                     if nodes > max_nodes:
-                        raise _BudgetStop
+                        raise _Stop
                     if child_cov == full:
                         cmask_xy = cmask | 1 << x | 1 << y
                         best = [u for u in range(n) if cmask_xy >> u & 1]
                 else:
                     rec(k + 2, cmask | 1 << x | 1 << y, child_cov, gain, (x, y), pos, ban)
             limit = len(best)
+            if limit <= lower:
+                raise _Stop  # a cover at the lower bound is optimal
 
     fmask = sum(1 << f for f in forced)
     try:
         rec(len(forced), fmask, root_cov, [0] * n, forced, 0, 0)
-    except _BudgetStop:
-        lower = max(problem.lower_bound, len(forced))
-        return CoverSolution(len(best), tuple(best), False, nodes, lower)
+    except _Stop:
+        if len(best) > lower:  # the budget ran out
+            return CoverSolution(len(best), tuple(best), False, nodes, lower)
     finally:
         del rec  # rec refers to itself: unbind it so the search state is freed now
     return CoverSolution(len(best), tuple(best), True, nodes, len(best))
@@ -424,22 +426,22 @@ def greedy_cover(problem: CoverProblem) -> tuple[int, ...]:
     return tuple(v for v in range(problem.n) if cmask >> v & 1)
 
 
-def sweeps(n: int, forced: int) -> bool:
+def sweeps(n: int, forced: int, stop: Optional[int] = None) -> bool:
     """Whether :func:`solve_cover` sweeps a problem on n vertices with
-    ``forced`` forced: it does when at most 24 vertices are free."""
-    return n - forced <= 24
+    ``forced`` forced: it does when at most 15 vertices are free, or when
+    given a level ``stop``, which only the sweep honours."""
+    return n - forced <= 15 or stop is not None
 
 
 def solve_cover(
     problem: CoverProblem, max_nodes: int = DEFAULT_BUDGET, stop: Optional[int] = None
 ) -> CoverSolution:
     """Branch from the :func:`greedy_cover`, or sweep and fall back to it,
-    as :func:`sweeps` picks from the problem.  A sweep gives up before
-    level ``stop`` (branch-and-bound ignores it); when its budget runs out
-    first, the greedy is returned if it is smaller than all n vertices.
-    Branch-and-bound never returns a cover larger than the greedy it starts
-    from."""
-    if not sweeps(problem.n, len(problem.forced)):
+    as :func:`sweeps` picks from the problem and ``stop``.  A sweep gives up
+    before level ``stop``; when its budget runs out first, the greedy is
+    returned if it is smaller than all n vertices.  Branch-and-bound never
+    returns a cover larger than the greedy it starts from."""
+    if not sweeps(problem.n, len(problem.forced), stop):
         return solve_cover_branch_bound(problem, max_nodes, greedy_cover(problem))
     solution = solve_cover_sweep(problem, max_nodes, stop)
     if not solution.optimal and (stop is None or solution.lower < stop):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .cover import DEFAULT_BUDGET, CoverProblem, CoverSolution, check_budget, solve_cover, sweeps
+from .cover import DEFAULT_BUDGET, CoverProblem, CoverSolution, check_budget, solve_cover
 from .digraph import OrientedGraph, UndirectedGraph
 from .errors import DisconnectedInputError
 from .monitoring import LinkAdjacency, Rows, _edge_adjacency, _pair_table, _route_rows, _set_coverage, forced_vertices
@@ -104,11 +104,9 @@ def _solve_connected(
             row_x = rows[x]
             for y in forced:
                 covered |= row_x[y]
-        sweep = sweeps(n, k)
         if covered == full:
-            # the searches' own count for a root that covers
-            return CoverSolution(k, tuple(sorted(forced)), True, 0 if sweep else 1, k), rows
-        if sweep and stop == k + 1:
+            return CoverSolution(k, tuple(sorted(forced)), True, 0, k), rows
+        if stop == k + 1:
             # the sweep's result when it gives up after one node, F itself
             return CoverSolution(n, tuple(range(n)), False, 1, stop), rows
     problem = CoverProblem(n, full, _pair_table(_route_rows(adj, range(n), rows)), forced, lower)

@@ -18,7 +18,7 @@ from magsets import (
     orient,
     pair_table,
 )
-from magsets.cover import CoverProblem, CoverSolution, _bit_counts, coverage_of
+from magsets.cover import CoverProblem, CoverSolution, coverage_of
 
 
 def random_oriented(rng: random.Random, n: int, p: float = 0.5) -> OrientedGraph:
@@ -371,6 +371,10 @@ class _BudgetStop(Exception):
     pass
 
 
+class _Proven(Exception):
+    pass
+
+
 def solve_cover_sweep(problem: CoverProblem, max_nodes: int = 10_000_000) -> CoverSolution:
     """Smallest superset of the forced set covering everything."""
     budget = _Budget(max_nodes)
@@ -435,6 +439,7 @@ def solve_cover_branch_bound(
     max_nodes: int = 10_000_000,
     upper_witness: Sequence[int] | None = None,
     exclusion: bool = True,
+    stop: bool = True,
 ) -> CoverSolution:
     """Branch over the admissible pairs of a most-constrained uncovered
     target, starting from the known cover ``upper_witness`` (all n
@@ -447,22 +452,32 @@ def solve_cover_branch_bound(
     banned before v was searched for in that child, so the later ones can
     only re-enter sets already entered.  A node at least four vertices
     short of the best cover returns when some uncovered target has a
-    banned vertex in every one of its pairs: no cover lies below it."""
+    banned vertex in every one of its pairs: no cover lies below it.
+
+    With ``stop``, a cover no larger than the lower bound max(bound, |F|)
+    is optimal: one known at the start (the root's, or ``upper_witness``)
+    is returned after no node, and the first one found ends the search."""
     budget = _Budget(max_nodes)
     n = problem.n
     full = problem.full_mask
     forced = tuple(sorted(problem.forced))
+    lower = max(problem.lower_bound, len(forced))
     best = sorted(upper_witness) if upper_witness is not None else list(range(n))
     root_cov = coverage_of(problem, forced)
     if root_cov == full and len(forced) < len(best):
-        return CoverSolution(len(forced), forced, True, 1, len(forced))  # the root is a cover
+        if not stop:
+            return CoverSolution(len(forced), forced, True, 1, len(forced))  # the root is a cover
+        best = list(forced)
+    if stop and len(best) <= lower:
+        return CoverSolution(len(best), tuple(best), True, 0, len(best))
 
     rows = problem.rows
-    # the most-constrained uncovered target is the first uncovered one in
-    # this order: fewest admissible pairs, ties to the lowest index
-    counts = _bit_counts(problem.pair_masks, full.bit_length())
-    order = [1 << t for t in sorted(range(len(counts)), key=lambda t: (counts[t], t))]
     keys = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    # the most-constrained uncovered target is the first uncovered one in
+    # this order of every target: fewest admissible pairs, ties to the
+    # lowest index
+    counts = [sum(1 for x, y in keys if rows[x][y] >> t & 1) for t in range(full.bit_length())]
+    order = [1 << t for t in sorted(range(len(counts)), key=lambda t: (counts[t], t))]
     admissible: dict[int, list[tuple[int, int]]] = {}  # target bit -> its pairs, in lex order
     nodes = 0
 
@@ -475,13 +490,14 @@ def solve_cover_branch_bound(
             return
         if cov == full:
             best = sorted(chosen)
+            if stop and len(best) <= lower:
+                raise _Proven
             return
         uncovered = full & ~cov
 
         def pairs_of(bit: int) -> list[tuple[int, int]]:
             if bit not in admissible:
-                pm = problem.pair_masks
-                admissible[bit] = [key for key, mk in zip(keys, pm) if mk & bit]
+                admissible[bit] = [(x, y) for x, y in keys if rows[x][y] & bit]
             return admissible[bit]
 
         k, limit = len(chosen), len(best)
@@ -512,8 +528,9 @@ def solve_cover_branch_bound(
     try:
         rec(set(forced), root_cov, frozenset())
     except _BudgetStop:
-        lower = max(problem.lower_bound, len(forced))
         return CoverSolution(len(best), tuple(best), False, nodes, lower)
+    except _Proven:
+        pass
     finally:
         del rec  # rec refers to itself: unbind it so the search state is freed now
     return CoverSolution(len(best), tuple(best), True, nodes, len(best))

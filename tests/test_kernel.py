@@ -5,6 +5,7 @@ searches against their references; MEG optimality by exhaustion and its
 flag, the per-component certificate of disconnected graphs, the shared
 budget fallback and CLI input handling."""
 import copy
+import dataclasses
 import io
 import json
 import pickle
@@ -429,12 +430,41 @@ def test_exclusion_branching_is_exact(problem, from_greedy, data):
     assert banned.size == plain.size == helpers.brute_min_cover(problem)
     assert banned.witness == plain.witness
     assert banned.nodes <= plain.nodes
-    budget = data.draw(st.integers(1, plain.nodes))
+    budget = data.draw(st.integers(1, max(plain.nodes, 1)))
     banned = solve_cover_branch_bound(problem, budget, *known)
     plain = helpers.solve_cover_branch_bound(problem, budget, *known, exclusion=False)
     assert banned.size <= plain.size
     if plain.optimal:
         assert banned.optimal and banned.witness == plain.witness
+
+
+@settings(max_examples=200, deadline=None)
+@given(cover_problems(), st.booleans(), st.data())
+def test_lower_bound_stop_is_exact(problem, from_greedy, data):
+    # a cover of max(bound, |F|) vertices is optimal: the search that
+    # returns one it starts from after no node, and ends at the first one
+    # it finds, returns the witness of the search that goes on, in no more
+    # nodes.  Under a budget it either proves that witness or stops on the
+    # same node as the search that goes on, holding the same cover.  A bound
+    # of the optimum, or one below, lets the search meet it in a cover found
+    # below the root as well
+    optimum = helpers.brute_min_cover(problem)
+    bound = data.draw(st.sampled_from((problem.lower_bound, optimum - 1, optimum)))
+    problem = dataclasses.replace(problem, lower_bound=bound)
+    known = (greedy_cover(problem),) if from_greedy else ()
+    stopped = solve_cover_branch_bound(problem, 10_000_000, *known)
+    plain = helpers.solve_cover_branch_bound(problem, 10_000_000, *known, stop=False)
+    assert stopped.optimal and plain.optimal
+    assert (stopped.size, stopped.witness) == (plain.size, plain.witness) and stopped.size == optimum
+    assert stopped.nodes <= plain.nodes
+    witness = stopped.witness
+    budget = data.draw(st.integers(1, plain.nodes))
+    stopped = solve_cover_branch_bound(problem, budget, *known)
+    assert stopped == helpers.solve_cover_branch_bound(problem, budget, *known)
+    if stopped.optimal:
+        assert stopped.witness == witness
+    else:
+        assert stopped == helpers.solve_cover_branch_bound(problem, budget, *known, stop=False)
 
 
 @st.composite
@@ -471,7 +501,10 @@ def test_greedy_matches_list_greedy(problem):
 def test_branch_bound_matches_reference_on_random_rows(problem, data):
     # random masks on up to 30 vertices give the bitmask leaf tests wider
     # rows than the MAG problems do; every budget drawn stops the search on
-    # the reference's node, holding the reference's cover
+    # the reference's node, holding the reference's cover.  The forced set
+    # mostly covers some targets but not all: the search orders only the
+    # ones it leaves uncovered, the reference every target, so this also
+    # checks that they keep their relative order
     known = greedy_cover(problem)
     budgets = {1, 2_000, data.draw(st.integers(1, 2_000))}
     for budget in sorted(budgets):

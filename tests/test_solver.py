@@ -101,10 +101,10 @@ def test_pair_rows_built_once_per_solve(monkeypatch, engine, max_nodes):
 # enters every node found them: a change in search order moves a node count,
 # or the best cover held when the budget runs out
 GOLDEN_SEARCHES = {
-    0: (23, 11379, True, (0, 3, 4, 6, 8, 11, 12, 14, 15, 16, 22, 23, 24, 25, 26, 28, 30, 31,
-                          32, 33, 34, 36, 39)),
-    2: (25, 20001, False, (0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 14, 15, 18, 21, 23, 26, 27, 28,
-                           29, 31, 34, 36, 37, 39)),
+    0: (23, 89, True, (0, 4, 5, 7, 11, 12, 14, 15, 16, 17, 18, 22, 23, 24, 25, 26, 30, 31,
+                       32, 33, 34, 36, 39)),
+    2: (23, 549, True, (0, 2, 3, 5, 6, 8, 10, 11, 13, 14, 15, 18, 21, 23, 26, 27, 28, 29, 31,
+                        34, 36, 37, 39)),
     187: (18, 923, True, (0, 3, 7, 9, 11, 12, 14, 16, 22, 24, 26, 29, 30, 32, 34, 35, 38, 39)),
     91: (17, 1089, True, (4, 5, 8, 9, 10, 12, 15, 16, 18, 19, 22, 23, 24, 30, 32, 33, 35)),
 }
@@ -116,14 +116,15 @@ def test_golden_node_counts(seed):
     G = random_connected_undirected(rng, 40, extra=31)
     g = orient(G, rng.getrandbits(G.m))
     res = min_mag_set(g, max_nodes=20_000)
-    # seeds 0 and 2 leave at most 24 vertices free, so they sweep; 187 and 91
-    # branch and bound
-    assert (g.n - len(res.forced) <= 24) == (seed in (0, 2))
+    # every seed leaves more than 15 vertices free, so every one branches
+    # and bounds; seeds 0 and 2 leave at most 24, which the sweep took once
+    # (11,379 nodes to 23, and out of budget at 25)
+    assert g.n - len(res.forced) > 15 and (g.n - len(res.forced) <= 24) == (seed in (0, 2))
     assert (res.size, res.nodes, res.optimal, res.witness) == GOLDEN_SEARCHES[seed]
     assert is_mag_set(g, res.witness)[0]
 
 
-@pytest.mark.parametrize("seed", [187, 91])
+@pytest.mark.parametrize("seed", [0, 2, 187, 91])
 def test_branch_bound_matches_reference_on_golden_graphs(seed):
     # the property tests stop at 14 vertices; on these 40-vertex searches the
     # reference, which enters every node and ORs each set's rows, stops at
@@ -146,17 +147,19 @@ def test_branch_bound_matches_reference_on_golden_graphs(seed):
 BENCH = Path(__file__).parents[1] / "bench"
 
 
-# the search pool under its node budget, with exclusion branching and the
-# cut at a node with an uncoverable target: how many members are proven
+# the search pool under its node budget, with exclusion branching, the
+# cut at a node with an uncoverable target, branch-and-bound above 15 free
+# vertices and its stop at the lower bound: how many members are proven
 # optimal, and the nodes of all of them together
-SEARCH_POOL_PROVEN, SEARCH_POOL_NODES = 307, 714_340
+SEARCH_POOL_PROVEN, SEARCH_POOL_NODES = 319, 193_260
 
 
 def test_search_pool_matches_reference(monkeypatch):
     # ``bench/reference.json`` holds each member's node count, optimality and
-    # size from the search without exclusion branching: a member the sweep
-    # searches matches it, every member it proves is proven at the same
-    # size, and none takes more nodes or returns a larger cover
+    # size from the search without exclusion branching, which swept at most
+    # 24 free vertices: a member the sweep still searches matches it, every
+    # member it proves is proven at the same size, and none takes more nodes
+    # or returns a larger cover
     spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclasses look it up
@@ -168,8 +171,9 @@ def test_search_pool_matches_reference(monkeypatch):
     for key, text in pool.items():
         entry = reference[key]
         assert workloads.digest(text) == entry["digest"]
-        res = min_mag_set(parse_edge_list(text), max_nodes=workloads.SEARCH_BUDGET)
-        if entry["regime"] == "sweep":
+        g = parse_edge_list(text)
+        res = min_mag_set(g, max_nodes=workloads.SEARCH_BUDGET)
+        if entry["regime"] == "sweep" and sweeps(g.n, len(res.forced)):
             assert (res.nodes, res.optimal, res.size) == (entry["nodes"], entry["optimal"], entry["size"])
         assert res.nodes <= entry["nodes"] and res.size <= entry["size"], key
         if entry["optimal"]:
@@ -255,18 +259,18 @@ def test_zero_budget_rejected(solve, arg):
 
 def test_covering_forced_set_builds_only_its_rows(monkeypatch):
     # the forced ends of a directed path cover every arc: the solve builds
-    # their two kernel rows only, the certificate reads them, and the node
-    # count is that of the engine's own early return: the sweep's 0 on P_7,
-    # branch-and-bound's 1 on P_28, whose 26 free vertices are branched over
+    # their two kernel rows only, the certificate reads them, and it enters
+    # no search node, whether the engine would sweep (P_7) or branch over
+    # the free vertices (P_28, 26 of them)
     from magsets import monitoring
 
     sources = []
     row = monitoring._sole_route_row
     monkeypatch.setattr(monitoring, "_sole_route_row", lambda adj, x: sources.append(x) or row(adj, x))
-    for n, nodes in [(7, 0), (28, 1)]:
+    for n in (7, 28):
         sources.clear()
         res = min_mag_set(directed_path(n))
-        assert (res.size, res.witness, res.optimal, res.nodes, res.lower) == (2, (0, n - 1), True, nodes, 2)
+        assert (res.size, res.witness, res.optimal, res.nodes, res.lower) == (2, (0, n - 1), True, 0, 2)
         assert res.coverage == {a: (0, n - 1) for a in range(n - 1)}
         assert sorted(sources) == [0, n - 1]
 

@@ -396,6 +396,21 @@ def test_budget_outcome_same_for_any_worker_count():
         assert serial == pooled and serial in (None, want), budget
 
 
+C18 = UndirectedGraph(18, tuple((i, i + 1) for i in range(17)) + ((0, 17),))
+
+
+def test_budget_outcome_same_for_any_worker_count_above_15_free_vertices():
+    # mask 0 of C18 is two directed paths from 0 to 17, which leave 16
+    # vertices free; the scan still sweeps it, as every search it hands a
+    # level to give up at, so its budget semantics are the sweep's: at one
+    # node the sweep runs out in level 3 and reports it, mag 3 has no
+    # earlier witness, and both scans raise (branch-and-bound would prove
+    # mag 3 in that node); from two nodes on both give the whole spectrum
+    want = spectrum(C18)
+    outcomes = {budget: budget_outcomes(C18, budget) for budget in (1, 2, 3)}
+    assert outcomes == {1: [None, None], 2: [want, want], 3: [want, want]}
+
+
 class InProcessPool:
     """Stands in for the process pool: the same chunks, run in this process."""
 

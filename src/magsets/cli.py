@@ -66,37 +66,45 @@ def _read_input(path: str) -> str:
         raise ParseError(f"{source} is not valid UTF-8: {exc}") from exc
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+def _json_command(cmd):
+    """A command printing one JSON run report.  ``cmd(args, text)`` gets the
+    text of ``args.input`` (``""`` for a command without input) and returns
+    (result, stats, exit code); the report is timed from before the read to
+    just before it is printed."""
+
+    @functools.wraps(cmd)
+    def run(args: argparse.Namespace) -> int:
+        started = time.perf_counter()
+        text = _read_input(args.input) if "input" in args else ""
+        result, stats, code = cmd(args, text)
+        report = {
+            "schema": SCHEMA,
+            "command": args.command,
+            "input_digest": hashlib.sha256(text.encode()).hexdigest()[:16],
+            "result": result,
+            "stats": stats,
+            "wall_time": round(time.perf_counter() - started, 6),
+        }
+        json.dump(report, sys.stdout, separators=(",", ":"))
+        sys.stdout.write("\n")
+        return code
+
+    return run
 
 
-def _report(args: argparse.Namespace, text: str, result: dict, stats: Optional[dict] = None) -> dict:
-    return {
-        "schema": SCHEMA,
-        "command": args.command,
-        "input_digest": _digest(text),
-        "result": result,
-        "stats": stats or {},
-        "wall_time": None,  # filled by _emit
-    }
-
-
-def _emit(report: dict, started: float) -> None:
-    report["wall_time"] = round(time.perf_counter() - started, 6)
-    json.dump(report, sys.stdout, separators=(",", ":"))
-    sys.stdout.write("\n")
-
-
-def _need_directed(graph) -> OrientedGraph:
-    if not isinstance(graph, OrientedGraph):
-        raise ParseError("a directed edge list is required")
+def _graph(text: str, kind: type):
+    """The edge list ``text``, which must parse to a graph of ``kind``."""
+    graph = parse_edge_list(text)
+    if not isinstance(graph, kind):
+        raise ParseError(f"{'a directed' if kind is OrientedGraph else 'an undirected'} edge list is required")
     return graph
 
 
-def _need_undirected(graph) -> UndirectedGraph:
-    if not isinstance(graph, UndirectedGraph):
-        raise ParseError("an undirected edge list is required")
-    return graph
+def _print_graph(args: argparse.Namespace, graph, comments: list[str]) -> None:
+    if args.format == "dot":
+        sys.stdout.write(to_dot(graph))
+    else:
+        sys.stdout.write(write_edge_list(graph, trailing_comments=comments))
 
 
 def _vc_instance(args: argparse.Namespace, G: UndirectedGraph) -> VertexCoverInstance:
@@ -107,143 +115,82 @@ def _vc_instance(args: argparse.Namespace, G: UndirectedGraph) -> VertexCoverIns
     return VertexCoverInstance(G, args.k)
 
 
-def cmd_mag(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    text = _read_input(args.input)
-    g = _need_directed(parse_edge_list(text))
-    res = min_mag_set(g, args.budget)
-    report = _report(
-        args,
-        text,
-        {
-            "size": res.size,
-            "witness": list(res.witness),
-            "forced": sorted(res.forced),
-            "coverage": {str(a): list(pair) for a, pair in sorted(res.coverage.items())},
-            "optimal": res.optimal,
-        },
-        {"nodes": res.nodes},
-    )
-    _emit(report, started)
-    return 0 if res.optimal else EXIT_BUDGET
+@_json_command
+def cmd_mag(args: argparse.Namespace, text: str) -> tuple[dict, dict, int]:
+    res = min_mag_set(_graph(text, OrientedGraph), args.budget)
+    result = {
+        "size": res.size,
+        "witness": list(res.witness),
+        "forced": sorted(res.forced),
+        "coverage": {str(a): list(pair) for a, pair in sorted(res.coverage.items())},
+        "optimal": res.optimal,
+    }
+    return result, {"nodes": res.nodes}, 0 if res.optimal else EXIT_BUDGET
 
 
-def cmd_meg(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    text = _read_input(args.input)
-    G = _need_undirected(parse_edge_list(text))
-    res = min_meg_set(G, args.budget)
-    _emit(
-        _report(
-            args,
-            text,
-            {"size": res.size, "witness": list(res.witness), "optimal": res.optimal},
-            {"nodes": res.nodes},
-        ),
-        started,
-    )
-    return 0 if res.optimal else EXIT_BUDGET
+@_json_command
+def cmd_meg(args: argparse.Namespace, text: str) -> tuple[dict, dict, int]:
+    res = min_meg_set(_graph(text, UndirectedGraph), args.budget)
+    result = {"size": res.size, "witness": list(res.witness), "optimal": res.optimal}
+    return result, {"nodes": res.nodes}, 0 if res.optimal else EXIT_BUDGET
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    text = _read_input(args.input)
-    G = _need_undirected(parse_edge_list(text))
-    sp = spectrum(
-        G,
-        args.budget,
-        max_edges=args.max_edges,
-        threads=args.threads,
-        stop_at_two=args.stop_at_two,
-        stop_at_n=args.stop_at_n,
-    )
-    _emit(
-        _report(
-            args,
-            text,
-            {
-                "mag_minus": sp.mag_minus,
-                "mag_plus": sp.mag_plus,
-                "spectrum": sorted(sp.spectrum),
-                "gap": sp.gap,
-                "witness_min": sp.witness_min_bits(G.m),
-                "witness_max": sp.witness_max_bits(G.m),
-                "complete": sp.complete,
-            },
-            sp.counts,
-        ),
-        started,
-    )
-    return 0
+@_json_command
+def cmd_spectrum(args: argparse.Namespace, text: str) -> tuple[dict, dict, int]:
+    G = _graph(text, UndirectedGraph)
+    sp = spectrum(G, args.budget, max_edges=args.max_edges, threads=args.threads,
+                  stop_at_two=args.stop_at_two, stop_at_n=args.stop_at_n)
+    result = {
+        "mag_minus": sp.mag_minus,
+        "mag_plus": sp.mag_plus,
+        "spectrum": sorted(sp.spectrum),
+        "gap": sp.gap,
+        "witness_min": sp.witness_min_bits(G.m),
+        "witness_max": sp.witness_max_bits(G.m),
+        "complete": sp.complete,
+    }
+    return result, sp.counts, 0
 
 
-def cmd_extremal(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    text = _read_input(args.input)
+@_json_command
+def cmd_extremal(args: argparse.Namespace, text: str) -> tuple[dict, dict, int]:
     graph = parse_edge_list(text)
     if isinstance(graph, OrientedGraph):
         ok, counterexample = is_extremal(graph)
         result = {"extremal": ok, "counterexample": counterexample}
     else:
         result = {"mag_plus_is_n": mag_plus_at_least_n(graph, max_edges=args.max_edges)}
-    _emit(_report(args, text, result), started)
-    return 0
+    return result, {}, 0
 
 
-def cmd_forced(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    text = _read_input(args.input)
-    g = _need_directed(parse_edge_list(text))
-    report = forced_vertices(g)
-    _emit(
-        _report(
-            args,
-            text,
-            {
-                "forced": sorted(report.vertices),
-                "reasons": {
-                    str(v): {"rule": rule.value, "witness": wit}
-                    for v, (rule, wit) in sorted(report.reasons.items())
-                },
-            },
-        ),
-        started,
-    )
-    return 0
-
-
-def _build_family(args: argparse.Namespace):
-    kind = args.kind
-    if kind == "path":
-        return directed_path(args.n)
-    if kind == "cycle":
-        sources = [int(t) for t in args.pattern.split(",")] if args.pattern else None
-        sinks = [int(t) for t in args.sinks.split(",")] if args.sinks else None
-        return cycle_orientation(args.n, args.cycle_class, d=args.d, sources=sources, sinks=sinks)
-    if kind == "tournament":
-        return transitive_tournament(args.n)
-    if kind == "flipped-tournament":
-        return flipped_tournament(args.n)
-    if kind == "gj":
-        return construction_gj(args.j)
-    if kind == "rooted-tree":
-        T = _need_undirected(parse_edge_list(_read_input(args.input)))
-        return rooted_tree_orientation(T, args.root)
-    if kind == "bipartite":
-        G = _need_undirected(parse_edge_list(_read_input(args.input)))
-        return bipartite_extremal_orientation(G)
-    if kind == "girth":
-        G = _need_undirected(parse_edge_list(_read_input(args.input)))
-        return girth_alternating_orientation(G)
-    raise ParseError(f"unknown family kind {kind!r}")
+@_json_command
+def cmd_forced(args: argparse.Namespace, text: str) -> tuple[dict, dict, int]:
+    report = forced_vertices(_graph(text, OrientedGraph))
+    reasons = {str(v): {"rule": rule.value, "witness": wit} for v, (rule, wit) in sorted(report.reasons.items())}
+    return {"forced": sorted(report.vertices), "reasons": reasons}, {}, 0
 
 
 def cmd_family(args: argparse.Namespace) -> int:
-    graph = _build_family(args)
-    if args.format == "dot":
-        sys.stdout.write(to_dot(graph))
-    else:
-        sys.stdout.write(write_edge_list(graph))
+    kind = args.kind
+    if kind == "path":
+        graph = directed_path(args.n)
+    elif kind == "cycle":
+        graph = cycle_orientation(args.n, args.cycle_class, d=args.d, sources=args.pattern, sinks=args.sinks)
+    elif kind == "tournament":
+        graph = transitive_tournament(args.n)
+    elif kind == "flipped-tournament":
+        graph = flipped_tournament(args.n)
+    elif kind == "gj":
+        graph = construction_gj(args.j)
+    else:  # the kinds that orient an undirected edge list
+        G = _graph(_read_input(args.input), UndirectedGraph)
+        if kind == "rooted-tree":
+            graph = rooted_tree_orientation(G, args.root)
+        elif kind == "bipartite":
+            graph = bipartite_extremal_orientation(G)
+        else:
+            graph = girth_alternating_orientation(G)
+    _print_graph(args, graph, [])
     return 0
 
 
@@ -252,40 +199,24 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     if args.problem == "nae3sat":
         art = nae3sat_to_graph(parse_nae3sat(text))
     else:
-        G = _need_undirected(parse_edge_list(text))
-        art = vc_to_mag_instance(_vc_instance(args, G))
+        art = vc_to_mag_instance(_vc_instance(args, _graph(text, UndirectedGraph)))
     comments = [f"role {v} {label}" for v, label in sorted(art.roles.items())]
     if art.target is not None:
         comments.append(f"target {art.target}")
-    if args.format == "dot":
-        sys.stdout.write(to_dot(art.graph))
-    else:
-        sys.stdout.write(write_edge_list(art.graph, trailing_comments=comments))
+    _print_graph(args, art.graph, comments)
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+@_json_command
+def cmd_verify(args: argparse.Namespace, text: str) -> tuple[dict, dict, int]:
     if args.check == "nae":
-        text = _read_input(args.input)
-        ok = verify_nae_reduction(parse_nae3sat(text), max_edges=args.max_edges)
-        _emit(_report(args, text, {"verified": ok}), started)
-        return 0 if ok else 1
-    if args.check == "vc":
-        text = _read_input(args.input)
-        G = _need_undirected(parse_edge_list(text))
-        ok = verify_vc_reduction(_vc_instance(args, G), args.budget)
-        _emit(_report(args, text, {"verified": ok}), started)
-        return 0 if ok else 1
-    if args.check == "family":
-        failures = _verify_family_forms(args)
-        _emit(_report(args, "", {"verified": not failures, "failures": failures}), started)
-        return 0 if not failures else 1
-    if args.check == "thm32":
-        failures = _verify_extremal_random(args)
-        _emit(_report(args, "", {"verified": not failures, "failures": failures}), started)
-        return 0 if not failures else 1
-    raise ParseError(f"unknown verification {args.check!r}")
+        result = {"verified": verify_nae_reduction(parse_nae3sat(text), max_edges=args.max_edges)}
+    elif args.check == "vc":
+        result = {"verified": verify_vc_reduction(_vc_instance(args, _graph(text, UndirectedGraph)), args.budget)}
+    else:
+        failures = _verify_family_forms(args) if args.check == "family" else _verify_extremal_random(args)
+        result = {"verified": not failures, "failures": failures}
+    return result, {}, 0 if result["verified"] else 1
 
 
 def _verify_family_forms(args: argparse.Namespace) -> list[str]:
@@ -361,6 +292,14 @@ def _int_at_least(least: int):
     return parse
 
 
+def _int_list(text: str) -> list[int]:
+    """An argparse type: comma-separated ints, else exit 2."""
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}") from None
+
+
 # the arguments shared by the commands; each command takes the ones it reads
 _OPTIONS = {
     "input": dict(nargs="?", default="-", help="input file or '-' for stdin"),
@@ -419,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--kind", dest="cycle_class", default="C0",
                    choices=["C0", "C1", "C2", "C3"], help="cycle orientation class")
-    p.add_argument("--pattern", default=None, help="comma-separated source positions (class C3)")
-    p.add_argument("--sinks", default=None, help="comma-separated sink positions (class C3)")
+    p.add_argument("--pattern", type=_int_list, default=None, help="comma-separated source positions (class C3)")
+    p.add_argument("--sinks", type=_int_list, default=None, help="comma-separated sink positions (class C3)")
     p.add_argument("--root", type=int, default=0)
     p.add_argument("--input", default="-", help="undirected edge list for tree/bipartite/girth kinds")
     _add_common(p, "--format")
@@ -463,15 +402,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (BudgetExceededError, TooManyEdgesError, TooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, ParseError):
+            return EXIT_PARSE
+        return EXIT_BUDGET if isinstance(exc, (BudgetExceededError, TooManyEdgesError, TooLargeError)) else 1
 
 
 def entrypoint() -> NoReturn:

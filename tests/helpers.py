@@ -39,7 +39,8 @@ def random_connected_oriented(rng: random.Random, n: int, p: float = 0.5) -> Ori
 
 def cycle_with_chord(n: int, head: int) -> OrientedGraph:
     """The directed n-cycle plus the arc (0, head), on which nothing is
-    forced: the solve sweeps it for n <= 24 and branches over pairs above."""
+    forced: the solve sweeps it for n <= 15 (or when given a stop) and
+    branches over pairs above."""
     return OrientedGraph(n, tuple((i, (i + 1) % n) for i in range(n)) + ((0, head),))
 
 

@@ -36,6 +36,33 @@ def test_mag_json_report(capsys, monkeypatch):
     assert report["wall_time"] >= 0
 
 
+ENVELOPE = ["schema", "command", "input_digest", "result", "stats", "wall_time"]
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["mag", "-"], P4_DIRECTED),
+    (["meg", "-"], C6_UNDIRECTED),
+    (["spectrum", "-"], C6_UNDIRECTED),
+    (["extremal", "-"], P4_DIRECTED),
+    (["extremal", "-"], C6_UNDIRECTED),
+    (["forced", "-"], P4_DIRECTED),
+    (["verify", "nae", "-"], "p nae3 3 1\n1 2 3 0\n"),
+    (["verify", "vc", "-", "--k", "1"], "undirected 3 3\n0 1\n1 2\n0 2\n"),
+    (["verify", "family", "--max-n", "3"], None),
+    (["verify", "thm32", "--samples", "2", "--max-n", "3"], None),
+])
+def test_report_envelope(capsys, monkeypatch, argv, text):
+    # every JSON command prints the same six keys; checks without an input
+    # digest the empty text
+    import hashlib
+
+    rc, out, _ = run(capsys, monkeypatch, argv, text or "unread\n")
+    report = json.loads(out)
+    assert rc == 0 and list(report) == ENVELOPE
+    assert report["command"] == argv[0] and isinstance(report["stats"], dict)
+    assert report["input_digest"] == hashlib.sha256((text or "").encode()).hexdigest()[:16]
+
+
 def test_mag_reads_file(tmp_path, capsys, monkeypatch):
     path = tmp_path / "g.txt"
     path.write_text(P4_DIRECTED)
@@ -160,6 +187,29 @@ def test_family_emits_parseable_edge_list(capsys, monkeypatch):
 
     g = parse_edge_list(out)
     assert g.n == 6 and g.m == 6
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--pattern", "a,b"], "argument --pattern: must be comma-separated integers, got 'a,b'"),
+    (["--pattern", ""], "argument --pattern: must be comma-separated integers, got ''"),
+    (["--pattern", "0,,3"], "argument --pattern: must be comma-separated integers, got '0,,3'"),
+    (["--pattern", "0,3", "--sinks", "x"], "argument --sinks: must be comma-separated integers, got 'x'"),
+])
+def test_family_bad_positions_exit_2(capsys, monkeypatch, flags, message):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, monkeypatch, ["family", "cycle", "--n", "6", "--kind", "C3", *flags])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err and "Traceback" not in out.err
+
+
+def test_family_positions_give_the_cycle(capsys, monkeypatch):
+    # sources at 0 and 3, and the sinks by default just before the next
+    # source, which are the sinks given on the second call
+    c3 = "directed 6 6\n0 1\n0 5\n1 2\n3 2\n3 4\n4 5\n"
+    for flags in (["--pattern", "0,3"], ["--pattern", "0, 3", "--sinks", "2,5"]):
+        rc, out, err = run(capsys, monkeypatch, ["family", "cycle", "--n", "6", "--kind", "C3", *flags])
+        assert (rc, out, err) == (0, c3, "")
 
 
 def test_family_dot_output(capsys, monkeypatch):

@@ -173,10 +173,10 @@ def test_meg_reports_unproven_answer():
 
 
 def test_meg_branch_and_bound_starts_from_the_greedy():
-    # more than 24 free vertices, so the search is branch-and-bound, and it
-    # starts from the greedy cover, as a MAG search does: the reference
-    # search from that greedy, on the deletion oracle's pair table, takes
-    # the same nodes to the same witness
+    # more than 24 free vertices, above the sweep's 15, so the search is
+    # branch-and-bound, and it starts from the greedy cover, as a MAG search
+    # does: the reference search from that greedy, on the deletion oracle's
+    # pair table, takes the same nodes to the same witness
     for seed in (0, 4, 16, 18, 23, 24):
         G = random_connected_undirected(random.Random(seed), 40, extra=5)
         forced = frozenset(v for v in range(G.n) if G.degree(v) == 1)

@@ -275,6 +275,24 @@ def _components(n: int, links: list[tuple[int, int]]) -> list[frozenset[int]]:
     return comps
 
 
+def _split(
+    n: int, links: Sequence[tuple[int, int]], comps: Sequence[frozenset[int]]
+) -> list[tuple[list[int], list[tuple[int, int]], list[int]]]:
+    """Per component of ``comps`` (a partition of ``0..n-1`` no link crosses):
+    its vertices in increasing order, its links relabeled to positions in
+    that list, and their ids in ``links``; relabeling keeps both orders."""
+    parts = [(sorted(comp), [], []) for comp in comps]
+    part_of, label = [0] * n, [0] * n
+    for p, (verts, _, _) in enumerate(parts):
+        for i, v in enumerate(verts):
+            part_of[v], label[v] = p, i
+    for a, (u, v) in enumerate(links):
+        _, local, ids = parts[part_of[u]]
+        local.append((label[u], label[v]))
+        ids.append(a)
+    return parts
+
+
 def find_shortest_cycle(g: UndirectedGraph) -> Optional[list[int]]:
     """One chordless cycle of length equal to the girth, or None if acyclic.
 

@@ -4,19 +4,18 @@ graphs: both are covers by vertex pairs of the monitoring kernel's table.
 Both are solved by one search of a connected graph (`_solve_connected`),
 which differs between them only in its links, its forced set and its lower
 bound.  Disconnected oriented inputs are split into weakly connected
-components in one pass over the arcs, relabeled in vertex and arc order,
-solved independently, and the witnesses unioned: a pair of vertices in
-different components monitors nothing, so the problem is additive, and
-each component certifies its own arcs from its own result.
+components (`digraph._split`), solved independently, and the witnesses
+unioned: a pair of vertices in different components monitors nothing, so
+the problem is additive.  The certificate is built with each solve, from
+its kernel rows, so a result is plain data and keeps no graph or rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 from .cover import DEFAULT_BUDGET, CoverProblem, CoverSolution, check_budget, solve_cover
-from .digraph import OrientedGraph, UndirectedGraph
+from .digraph import OrientedGraph, UndirectedGraph, _split
 from .errors import DisconnectedInputError
 from .monitoring import LinkAdjacency, Rows, _edge_adjacency, _pair_table, _route_rows, _set_coverage, forced_vertices
 
@@ -34,35 +33,7 @@ class MagResult:
     optimal: bool
     nodes: int
     lower: int
-    # keyword-only, so a call with the positional fields of the eager
-    # certificate (``coverage`` before ``optimal``) fails loudly
-    _graph: OrientedGraph = field(repr=False, kw_only=True)
-    # the kernel rows N_x the solve built, by source x (None where not built)
-    _rows: Optional[Rows] = field(default=None, repr=False, compare=False, kw_only=True)
-    # of a disconnected graph, per weakly connected component: its vertices
-    # and its arc indices, both increasing, and the result of its own solve
-    _parts: tuple[tuple[list[int], list[int], MagResult], ...] = field(
-        default=(), repr=False, compare=False, kw_only=True
-    )
-
-    @cached_property
-    def coverage(self) -> dict[int, tuple[int, int]]:
-        """Per arc, the lexicographically first witness pair monitoring it;
-        built on first access from the witness vertices' kernel rows, per
-        component on a disconnected graph."""
-        if not self.witness:
-            return {}  # no arcs: nothing to certify, and no graph table to build
-        if self._parts:
-            # pairs across components monitor nothing, and the relabeling
-            # keeps vertex and arc order, so each part's first pairs are these
-            return {
-                arc_ids[a]: (verts[x], verts[y])
-                for verts, arc_ids, part in self._parts
-                for a, (x, y) in part.coverage.items()
-            }
-        g = self._graph
-        rows = self._rows or [None] * g.n
-        return _set_coverage(g.out_links, g.m, sorted(self.witness), rows)[0]
+    coverage: dict[int, tuple[int, int]] = field(repr=False, hash=False)
 
 
 def mag_lower_bound(g: OrientedGraph, forced: Optional[frozenset[int]] = None) -> int:
@@ -116,33 +87,21 @@ def _solve_connected(
 def min_mag_set(g: OrientedGraph, max_nodes: int = DEFAULT_BUDGET) -> MagResult:
     """Exact minimum MAG-set with certificate, searched within ``max_nodes``
     nodes; deterministic for a fixed budget.  A graph with no arcs has mag 0
-    and an empty witness."""
+    and an empty witness.  A disconnected graph gets the budget once per
+    weakly connected component, and ``nodes`` is their sum."""
     check_budget(max_nodes)
     if g.m == 0:
-        return MagResult(0, (), frozenset(), True, 0, 0, _graph=g)
+        return MagResult(0, (), frozenset(), True, 0, 0, {})
     comps = g.components()
     if len(comps) == 1:
         return _min_mag_connected(g, max_nodes)
-    # split the arcs by component in one pass, relabeling each component's
-    # vertices and arcs in increasing order, and solve each on its own
-    verts_of = [sorted(comp) for comp in comps]
-    part_of, label = [0] * g.n, [0] * g.n
-    for p, verts in enumerate(verts_of):
-        for i, v in enumerate(verts):
-            part_of[v], label[v] = p, i
-    arcs_of: list[list[tuple[int, int]]] = [[] for _ in comps]
-    ids_of: list[list[int]] = [[] for _ in comps]
-    for a, (u, v) in enumerate(g.arcs):
-        p = part_of[u]
-        arcs_of[p].append((label[u], label[v]))
-        ids_of[p].append(a)
     size = 0
     witness: list[int] = []
     forced_all: set[int] = set()
     optimal = True
     nodes = lower = 0
-    parts = []
-    for verts, arcs, arc_ids in zip(verts_of, arcs_of, ids_of):
+    coverage: dict[int, tuple[int, int]] = {}
+    for verts, arcs, arc_ids in _split(g.n, g.arcs, comps):
         if not arcs:
             continue  # an isolated vertex: no arc to monitor, none needed
         res = _min_mag_connected(OrientedGraph(len(verts), tuple(arcs)), max_nodes)
@@ -152,10 +111,9 @@ def min_mag_set(g: OrientedGraph, max_nodes: int = DEFAULT_BUDGET) -> MagResult:
         optimal = optimal and res.optimal
         nodes += res.nodes
         lower += res.lower
-        parts.append((verts, arc_ids, res))
-    return MagResult(
-        size, tuple(sorted(witness)), frozenset(forced_all), optimal, nodes, lower, _graph=g, _parts=tuple(parts)
-    )
+        # the relabeling keeps vertex and arc order: the part's first pairs are the graph's
+        coverage.update((arc_ids[a], (verts[x], verts[y])) for a, (x, y) in res.coverage.items())
+    return MagResult(size, tuple(sorted(witness)), frozenset(forced_all), optimal, nodes, lower, coverage)
 
 
 def _min_mag_connected(g: OrientedGraph, max_nodes: int) -> MagResult:
@@ -163,7 +121,8 @@ def _min_mag_connected(g: OrientedGraph, max_nodes: int) -> MagResult:
     forced = forced_vertices(g).vertices
     lower = mag_lower_bound(g, forced)
     sol, rows = _solve_connected(g.n, g.m, g.out_links, forced, lower, max_nodes)
-    return MagResult(sol.size, sol.witness, forced, sol.optimal, sol.nodes, sol.lower, _graph=g, _rows=rows)
+    coverage = _set_coverage(g.out_links, g.m, list(sol.witness), rows)[0]
+    return MagResult(sol.size, sol.witness, forced, sol.optimal, sol.nodes, sol.lower, coverage)
 
 
 @dataclass(frozen=True)

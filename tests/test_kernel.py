@@ -1,6 +1,6 @@
 """The shortest-path-DAG monitoring kernel and the set check against the
 deletion and path-counting oracles; the bitset forcing rules, the trusted
-orientation, the lazy certificate, the parallel spectrum and the cover
+orientation, the solve's certificate, the parallel spectrum and the cover
 searches against their references; MEG optimality by exhaustion and its
 flag, the per-component certificate of disconnected graphs, the shared
 budget fallback and CLI input handling."""
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from magsets import (
     BadParamError,
+    MagResult,
     OrientedGraph,
     UndirectedGraph,
     edge_monitors_undirected,
@@ -297,15 +298,23 @@ def _eager_certificate(g: OrientedGraph, witness) -> dict[int, tuple[int, int]]:
 
 @settings(max_examples=60, deadline=None)
 @given(oriented_graphs(max_n=8))
-def test_lazy_coverage_equals_eager_certificate(g):
+def test_coverage_equals_deletion_certificate_and_survives_pickling(g):
     res = min_mag_set(g)
     unread = pickle.loads(pickle.dumps(res))
     want = _eager_certificate(g, res.witness)
     assert set(want) == set(range(g.m))
     assert res.coverage == want
-    assert unread.coverage == want  # built after the round trip
-    assert pickle.loads(pickle.dumps(res)).coverage == want  # carried over
+    assert unread.coverage == want  # a pickled result carries its certificate
+    assert pickle.loads(pickle.dumps(res)).coverage == want
     assert unread == res
+
+
+def test_mag_result_is_plain_record():
+    # a result holds its answer and certificate only: no graph, no kernel
+    # rows, nothing built after the solve
+    assert [f.name for f in dataclasses.fields(MagResult)] == [
+        "size", "witness", "forced", "optimal", "nodes", "lower", "coverage"
+    ]
 
 
 def test_disconnected_coverage_builds_only_component_rows(monkeypatch):

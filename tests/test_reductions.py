@@ -8,6 +8,7 @@ from magsets import (
     BudgetExceededError,
     InvalidInstanceError,
     Nae3SatInstance,
+    TooManyEdgesError,
     UndirectedGraph,
     VertexCoverInstance,
     brute_nae3sat,
@@ -101,6 +102,17 @@ def test_nae_negative_edge_cap_rejected():
     with pytest.raises(BadParamError):
         verify_nae_reduction(phi, max_edges=-1)
     assert verify_nae_reduction(phi, max_edges=6)
+
+
+def test_nae_edge_cap_applies_per_component():
+    # four disjoint clauses: 24 gadget edges in four components of 6 edges,
+    # each within the default cap of 20; a cap below 6 rejects a component
+    phi = Nae3SatInstance(12, tuple(frozenset({3 * i, 3 * i + 1, 3 * i + 2}) for i in range(4)))
+    assert nae3sat_to_graph(phi).graph.m == 24
+    assert verify_nae_reduction(phi)
+    assert verify_nae_reduction(phi, max_edges=6)
+    with pytest.raises(TooManyEdgesError):
+        verify_nae_reduction(phi, max_edges=5)
 
 
 def test_nae_requires_all_variables_used():

@@ -152,6 +152,10 @@ BENCH = Path(__file__).parents[1] / "bench"
 # vertices and its stop at the lower bound: how many members are proven
 # optimal, and the nodes of all of them together
 SEARCH_POOL_PROVEN, SEARCH_POOL_NODES = 319, 193_260
+# the members that the reference's sweep regime still sweeps, which the
+# exact-match clause checks: none, since every member has at least 16
+# free vertices and so is searched by branch-and-bound
+SEARCH_POOL_SWEPT = 0
 
 
 def test_search_pool_matches_reference(monkeypatch):
@@ -167,7 +171,7 @@ def test_search_pool_matches_reference(monkeypatch):
     reference = json.loads((BENCH / "reference.json").read_text())["search"]
     pool = workloads.search_pool()
     assert sorted(pool) == sorted(reference) and len(pool) == 320
-    proven = nodes = 0
+    proven = nodes = swept = 0
     for key, text in pool.items():
         entry = reference[key]
         assert workloads.digest(text) == entry["digest"]
@@ -175,12 +179,14 @@ def test_search_pool_matches_reference(monkeypatch):
         res = min_mag_set(g, max_nodes=workloads.SEARCH_BUDGET)
         if entry["regime"] == "sweep" and sweeps(g.n, len(res.forced)):
             assert (res.nodes, res.optimal, res.size) == (entry["nodes"], entry["optimal"], entry["size"])
+            swept += 1
         assert res.nodes <= entry["nodes"] and res.size <= entry["size"], key
         if entry["optimal"]:
             assert res.optimal and res.size == entry["size"], key
         proven += res.optimal
         nodes += res.nodes
     assert (proven, nodes) == (SEARCH_POOL_PROVEN, SEARCH_POOL_NODES)
+    assert swept == SEARCH_POOL_SWEPT
 
 
 def test_component_additivity():

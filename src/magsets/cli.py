@@ -100,11 +100,13 @@ def _graph(text: str, kind: type):
     return graph
 
 
-def _print_graph(args: argparse.Namespace, graph, comments: list[str]) -> None:
+def _print_graph(args: argparse.Namespace, graph, comments: list[str]) -> int:
+    """Print ``graph`` in ``args.format`` and return the exit code, 0."""
     if args.format == "dot":
         sys.stdout.write(to_dot(graph))
     else:
         sys.stdout.write(write_edge_list(graph, trailing_comments=comments))
+    return 0
 
 
 def _vc_instance(args: argparse.Namespace, G: UndirectedGraph) -> VertexCoverInstance:
@@ -171,27 +173,11 @@ def cmd_forced(args: argparse.Namespace, text: str) -> tuple[dict, dict, int]:
 
 
 def cmd_family(args: argparse.Namespace) -> int:
-    kind = args.kind
-    if kind == "path":
-        graph = directed_path(args.n)
-    elif kind == "cycle":
-        graph = cycle_orientation(args.n, args.cycle_class, d=args.d, sources=args.pattern, sinks=args.sinks)
-    elif kind == "tournament":
-        graph = transitive_tournament(args.n)
-    elif kind == "flipped-tournament":
-        graph = flipped_tournament(args.n)
-    elif kind == "gj":
-        graph = construction_gj(args.j)
-    else:  # the kinds that orient an undirected edge list
-        G = _graph(_read_input(args.input), UndirectedGraph)
-        if kind == "rooted-tree":
-            graph = rooted_tree_orientation(G, args.root)
-        elif kind == "bipartite":
-            graph = bipartite_extremal_orientation(G)
-        else:
-            graph = girth_alternating_orientation(G)
-    _print_graph(args, graph, [])
-    return 0
+    return _print_graph(args, args.build(args), [])
+
+
+def _undirected_input(args: argparse.Namespace) -> UndirectedGraph:
+    return _graph(_read_input(args.input), UndirectedGraph)
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
@@ -203,8 +189,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     comments = [f"role {v} {label}" for v, label in sorted(art.roles.items())]
     if art.target is not None:
         comments.append(f"target {art.target}")
-    _print_graph(args, art.graph, comments)
-    return 0
+    return _print_graph(args, art.graph, comments)
 
 
 @_json_command
@@ -310,6 +295,8 @@ _OPTIONS = {
     "--max-n": dict(type=_int_at_least(2), default=7, help="largest n checked"),
     "--k": dict(type=_int_at_least(0), default=0, help="vertex-cover budget"),
     "--format": dict(choices=["edgelist", "dot"], default="edgelist"),
+    "--n": dict(type=int, default=0, help="vertex count"),
+    "--input": dict(default="-", help="undirected edge list file or '-' for stdin"),
 }
 
 
@@ -349,21 +336,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_forced)
 
     p = sub.add_parser("family", help="emit a generated family member as an edge list")
-    p.add_argument("kind", choices=[
-        "path", "cycle", "tournament", "flipped-tournament", "gj",
-        "rooted-tree", "bipartite", "girth",
-    ])
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--j", type=int, default=1)
-    p.add_argument("--kind", dest="cycle_class", default="C0",
-                   choices=["C0", "C1", "C2", "C3"], help="cycle orientation class")
-    p.add_argument("--pattern", type=_int_list, default=None, help="comma-separated source positions (class C3)")
-    p.add_argument("--sinks", type=_int_list, default=None, help="comma-separated sink positions (class C3)")
-    p.add_argument("--root", type=int, default=0)
-    p.add_argument("--input", default="-", help="undirected edge list for tree/bipartite/girth kinds")
-    _add_common(p, "--format")
     p.set_defaults(func=cmd_family)
+    kinds = p.add_subparsers(dest="family", required=True)
+    for kind, build, text in (("path", directed_path, "the directed path"),
+                              ("tournament", transitive_tournament, "the transitive tournament"),
+                              ("flipped-tournament", flipped_tournament, "the flipped tournament")):
+        c = kinds.add_parser(kind, help=f"{text} on --n vertices")
+        _add_common(c, "--n", "--format")
+        c.set_defaults(build=lambda a, build=build: build(a.n))
+    c = kinds.add_parser("cycle", help="one of the four orientation classes of the cycle")
+    _add_common(c, "--n", "--format")
+    c.add_argument("--kind", default="C0", choices=["C0", "C1", "C2", "C3"], help="cycle orientation class")
+    c.add_argument("--d", type=int, default=None, help="distance from the source to the sink (class C2)")
+    c.add_argument("--pattern", type=_int_list, default=None, help="comma-separated source positions (class C3)")
+    c.add_argument("--sinks", type=_int_list, default=None, help="comma-separated sink positions (class C3)")
+    c.set_defaults(build=lambda a: cycle_orientation(a.n, a.kind, d=a.d, sources=a.pattern, sinks=a.sinks))
+    c = kinds.add_parser("gj", help="the construction G_j")
+    c.add_argument("--j", type=int, default=1)
+    _add_common(c, "--format")
+    c.set_defaults(build=lambda a: construction_gj(a.j))
+    c = kinds.add_parser("rooted-tree", help="a tree with every arc away from --root")
+    _add_common(c, "--input", "--format")
+    c.add_argument("--root", type=int, default=0)
+    c.set_defaults(build=lambda a: rooted_tree_orientation(_undirected_input(a), a.root))
+    for kind, build, text in (("bipartite", bipartite_extremal_orientation, "every arc from one part to the other"),
+                              ("girth", girth_alternating_orientation, "a shortest cycle alternating sources and sinks")):
+        c = kinds.add_parser(kind, help=text)
+        _add_common(c, "--input", "--format")
+        c.set_defaults(build=lambda a, build=build: build(_undirected_input(a)))
 
     p = sub.add_parser("reduce", help="emit a hardness gadget as an edge list with role comments")
     p.set_defaults(func=cmd_reduce)

@@ -27,19 +27,46 @@ def _check_vertex(v: int, n: int) -> None:
         raise OutOfRangeError(f"vertex {v} out of range [0, {n})")
 
 
-def _bfs(adj: Sequence[Sequence[int]], source: int) -> list[float]:
-    """Single-source hop distances over an adjacency list."""
+def _bfs(adj: Sequence[Sequence[int]], source: int) -> tuple[list[float], list[int]]:
+    """Single-source hop distances over an adjacency list, and the BFS tree:
+    ``parent[v]`` is the vertex v was first reached from, taking neighbours
+    in adjacency order, and -1 for the source and the vertices it does not
+    reach."""
     dist: list[float] = [UNREACHABLE] * len(adj)
+    parent = [-1] * len(adj)
     dist[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        du = dist[u]
+        du = dist[u] + 1
         for w in adj[u]:
             if dist[w] == UNREACHABLE:
-                dist[w] = du + 1
+                dist[w] = du
+                parent[w] = u
                 queue.append(w)
-    return dist
+    return dist, parent
+
+
+def _check_links(
+    n: int, links: Sequence[tuple[int, int]], duplicate_message: str
+) -> set[tuple[int, int]]:
+    """The links as pairs (min, max), after checking that ``n`` is
+    non-negative and that each link joins two distinct vertices of
+    ``0..n-1`` on a pair no earlier link joins (else ``duplicate_message``,
+    formatted with the pair)."""
+    if n < 0:
+        raise OutOfRangeError("vertex count must be non-negative")
+    pairs = set()
+    for u, v in links:
+        _check_vertex(u, n)
+        _check_vertex(v, n)
+        if u == v:
+            raise SelfLoopError(f"self-loop at vertex {u}")
+        pair = (min(u, v), max(u, v))
+        if pair in pairs:
+            raise DuplicatePairError(duplicate_message.format(pair))
+        pairs.add(pair)
+    return pairs
 
 
 def _arc_sort_key(arc: tuple[int, int]) -> tuple[int, int, int]:
@@ -61,18 +88,7 @@ class OrientedGraph:
     arcs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise OutOfRangeError("vertex count must be non-negative")
-        seen_pairs = set()
-        for u, v in self.arcs:
-            _check_vertex(u, self.n)
-            _check_vertex(v, self.n)
-            if u == v:
-                raise SelfLoopError(f"self-loop at vertex {u}")
-            pair = (min(u, v), max(u, v))
-            if pair in seen_pairs:
-                raise DuplicatePairError(f"both directions (or duplicates) of pair {pair}")
-            seen_pairs.add(pair)
+        _check_links(self.n, self.arcs, "both directions (or duplicates) of pair {}")
         object.__setattr__(self, "arcs", tuple(sorted(self.arcs, key=_arc_sort_key)))
 
     @property
@@ -117,7 +133,7 @@ class OrientedGraph:
 
     @cached_property
     def _dist(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(tuple(_bfs(self.out_neighbors, s)) for s in range(self.n))
+        return tuple(tuple(_bfs(self.out_neighbors, s)[0]) for s in range(self.n))
 
     def distance(self, x: int, y: int) -> float:
         """Hop count of a shortest directed x->y path, or UNREACHABLE."""
@@ -133,7 +149,7 @@ class OrientedGraph:
 
     def components(self) -> list[frozenset[int]]:
         """Weakly connected components, each sorted by least vertex."""
-        return _components(self.n, [(u, v) for u, v in self.arcs])
+        return _components(self.n, self.arcs)
 
     def is_weakly_connected(self) -> bool:
         # fewer than n - 1 arcs cannot connect n vertices: no lists for a huge n
@@ -168,21 +184,8 @@ class UndirectedGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise OutOfRangeError("vertex count must be non-negative")
-        canon = []
-        seen = set()
-        for u, v in self.edges:
-            _check_vertex(u, self.n)
-            _check_vertex(v, self.n)
-            if u == v:
-                raise SelfLoopError(f"self-loop at vertex {u}")
-            e = (min(u, v), max(u, v))
-            if e in seen:
-                raise DuplicatePairError(f"duplicate edge {e}")
-            seen.add(e)
-            canon.append(e)
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
+        edges = _check_links(self.n, self.edges, "duplicate edge {}")
+        object.__setattr__(self, "edges", tuple(sorted(edges)))
 
     @property
     def m(self) -> int:
@@ -199,6 +202,18 @@ class UndirectedGraph:
             raise OutOfRangeError(f"no edge {{{u}, {v}}}") from None
 
     @cached_property
+    def out_links(self) -> list[list[tuple[int, int]]]:
+        """Per vertex, its edges as (neighbour, 1 << edge index) pairs, each
+        edge seen from both ends under one bit: the adjacency the monitoring
+        kernel walks, as in :attr:`OrientedGraph.out_links`, and read-only
+        for the same reason."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for e, (u, v) in enumerate(self.edges):
+            adj[u].append((v, 1 << e))
+            adj[v].append((u, 1 << e))
+        return adj
+
+    @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
@@ -212,7 +227,7 @@ class UndirectedGraph:
 
     @cached_property
     def _dist(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(tuple(_bfs(self.neighbors, s)) for s in range(self.n))
+        return tuple(tuple(_bfs(self.neighbors, s)[0]) for s in range(self.n))
 
     def distance(self, x: int, y: int) -> float:
         _check_vertex(x, self.n)
@@ -220,7 +235,7 @@ class UndirectedGraph:
         return self._dist[x][y]
 
     def components(self) -> list[frozenset[int]]:
-        return _components(self.n, list(self.edges))
+        return _components(self.n, self.edges)
 
     def is_connected(self) -> bool:
         # fewer than n - 1 edges cannot connect n vertices: no lists for a huge n
@@ -251,7 +266,7 @@ class UndirectedGraph:
         return a, b
 
 
-def _components(n: int, links: list[tuple[int, int]]) -> list[frozenset[int]]:
+def _components(n: int, links: Sequence[tuple[int, int]]) -> list[frozenset[int]]:
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in links:
         adj[u].append(v)
@@ -296,49 +311,30 @@ def _split(
 def find_shortest_cycle(g: UndirectedGraph) -> Optional[list[int]]:
     """One chordless cycle of length equal to the girth, or None if acyclic.
 
-    For every root we run a BFS and inspect non-tree edges; a non-tree edge
-    (x, y) whose root paths meet only at the root closes a cycle of length
-    dist(x) + dist(y) + 1.  The minimum over all roots is the girth, and a
-    shortest cycle can have no chord.
+    From each root, a non-tree edge (u, v) of its BFS tree closes the walk
+    root..u, v..root of length dist(u) + dist(v) + 1.  Every such walk holds
+    a cycle no longer than itself: the two tree paths part at their last
+    common vertex, which is neither u nor v (else (u, v) would be a tree
+    edge), and close a simple cycle with (u, v).  A root on a shortest cycle
+    C sees such a walk no longer than C: the tree lacks some edge of C, and
+    each end of it is no farther from the root than along C.  So the least
+    walk over all roots has the girth's length, and is itself a simple
+    cycle: its paths meet only at the root, or a shorter cycle would exist.
+    A shortest cycle has no chord.  The first least walk, roots in order
+    and each root's edges in order, is built at the end.
     """
-    best: Optional[list[int]] = None
+    best, best_len = None, UNREACHABLE
     for root in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[root] = 0
-        queue = deque([root])
-        tree_edges = set()
-        order = []
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for w in g.neighbors[u]:
-                if dist[w] == -1:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    tree_edges.add((min(u, w), max(u, w)))
-                    queue.append(w)
+        dist, parent = _bfs(g.neighbors, root)
         for u, v in g.edges:
-            if dist[u] == -1 or dist[v] == -1:
-                continue
-            if (u, v) in tree_edges:
-                continue
             length = dist[u] + dist[v] + 1
-            if best is not None and length >= len(best):
-                continue
-            path_u = _root_path(parent, u)
-            path_v = _root_path(parent, v)
-            if set(path_u) & set(path_v) != {root}:
-                continue  # paths overlap; a better root certifies this length
-            cycle = path_u[::-1] + path_v[1:]
-            if len(cycle) == length:
-                best = cycle
-    return best
-
-
-def _root_path(parent: list[int], v: int) -> list[int]:
-    """Path root..v as a list ending at v (root first)."""
-    path = [v]
-    while parent[path[-1]] != -1:
-        path.append(parent[path[-1]])
-    return path[::-1]
+            if length < best_len and parent[u] != v and parent[v] != u:
+                best, best_len = (parent, u, v), length
+    if best is None:
+        return None
+    parent, u, v = best
+    up_u, up_v = [u], [v]  # each end's tree path up to the root
+    for path in (up_u, up_v):
+        while parent[path[-1]] != -1:
+            path.append(parent[path[-1]])
+    return up_u + up_v[-2::-1]

@@ -5,10 +5,9 @@ deterministically; cycle vertices 0..n-1 stand for v1..vn.
 """
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional, Sequence
 
-from .digraph import OrientedGraph, UndirectedGraph, find_shortest_cycle
+from .digraph import OrientedGraph, UndirectedGraph, _bfs, find_shortest_cycle
 from .errors import AcyclicError, BadParamError, NotATreeError, NotBipartiteError
 
 
@@ -123,17 +122,8 @@ def rooted_tree_orientation(T: UndirectedGraph, root: int) -> OrientedGraph:
         raise BadParamError(f"root {root} out of range")
     if T.m != T.n - 1 or not T.is_connected():
         raise NotATreeError("input is not a tree")
-    arcs = []
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for w in T.neighbors[u]:
-            if w not in seen:
-                seen.add(w)
-                arcs.append((u, w))
-                queue.append(w)
-    return OrientedGraph(T.n, tuple(arcs))
+    parent = _bfs(T.neighbors, root)[1]
+    return OrientedGraph(T.n, tuple((p, w) for w, p in enumerate(parent) if p != -1))
 
 
 def transitive_tournament(n: int) -> OrientedGraph:

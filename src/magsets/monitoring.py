@@ -13,10 +13,10 @@ N_x(y) as an int bitset over arc indices, so one BFS per source builds a
 whole row, and the mask of the pair {x, y} is N_x(y) | N_y(x): the rows
 and their transpose give the symmetric pair table (`pair_table`) that the
 cover engine searches.  The undirected (MEG) relation is the same kernel
-with each edge reachable from both ends under one shared bit.  Checking a
-given set (`is_mag_set`) needs only the rows of its own vertices.  The
-path-counting test (`monitors_directed_by_counting`) is kept as an
-independent cross-check.
+walking `UndirectedGraph.out_links`, where each edge is seen from both ends
+under one shared bit.  Checking a given set (`is_mag_set`) needs only the
+rows of its own vertices.  The path-counting test
+(`monitors_directed_by_counting`) is kept as an independent cross-check.
 """
 from __future__ import annotations
 
@@ -27,8 +27,8 @@ from typing import Iterable, Optional, Sequence
 from .digraph import UNREACHABLE, OrientedGraph, UndirectedGraph
 from .errors import DisconnectedInputError, EqualVerticesError, OutOfRangeError
 
-# Per vertex, its (neighbor, link bit) pairs: the out-arcs of an oriented
-# graph, or the edges of an undirected graph, seen from both ends.
+# Per vertex, its (neighbor, link bit) pairs: a graph's ``out_links``, the
+# out-arcs of an oriented graph or the edges of an undirected one.
 LinkAdjacency = Sequence[Sequence[tuple[int, int]]]
 # Per vertex, its in- or out-neighbours as a bitmask, or as a list in
 # increasing order: the neighbourhoods the forcing rules read.
@@ -71,14 +71,6 @@ def _pair_table(rows: Sequence[Sequence[int]]) -> list[list[int]]:
         for y in range(x + 1, n):
             table_x[y] = table[y][x] = row_x[y] | rows[y][x]
     return table
-
-
-def _edge_adjacency(G: UndirectedGraph) -> list[list[tuple[int, int]]]:
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(G.n)]
-    for e, (u, v) in enumerate(G.edges):
-        adj[u].append((v, 1 << e))
-        adj[v].append((u, 1 << e))
-    return adj
 
 
 def _check_query(n: int, x: int, y: int, link: int, links: int, what: str) -> None:
@@ -136,9 +128,8 @@ def _route_rows(adj: LinkAdjacency, sources: Iterable[int], rows: Rows) -> Rows:
 def pair_table(g: OrientedGraph | UndirectedGraph) -> list[list[int]]:
     """``table[x][y]``: the bitmask of the arcs (or, undirected, the edges)
     that the pair {x, y} monitors; symmetric, with a zero diagonal.  One
-    kernel BFS per source."""
-    adj = g.out_links if isinstance(g, OrientedGraph) else _edge_adjacency(g)
-    return _pair_table([_sole_route_row(adj, x) for x in range(g.n)])
+    kernel BFS per source, over ``g.out_links``."""
+    return _pair_table([_sole_route_row(g.out_links, x) for x in range(g.n)])
 
 
 def _set_coverage(
@@ -307,4 +298,4 @@ def _first_unbypassed(ins: Masks, outs: Masks, in_list: Lists, out_list: Lists) 
 def edge_monitors_undirected(G: UndirectedGraph, x: int, y: int, e: int) -> bool:
     """True iff edge ``e`` lies on all shortest undirected x-y paths."""
     _check_query(G.n, x, y, e, G.m, "edge")
-    return bool(_sole_route_row(_edge_adjacency(G), x)[y] >> e & 1)
+    return bool(_sole_route_row(G.out_links, x)[y] >> e & 1)

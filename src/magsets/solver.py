@@ -17,7 +17,7 @@ from typing import Optional
 from .cover import DEFAULT_BUDGET, CoverProblem, CoverSolution, check_budget, solve_cover
 from .digraph import OrientedGraph, UndirectedGraph, _split
 from .errors import DisconnectedInputError
-from .monitoring import LinkAdjacency, Rows, _edge_adjacency, _pair_table, _route_rows, _set_coverage, forced_vertices
+from .monitoring import LinkAdjacency, Rows, _pair_table, _route_rows, _set_coverage, forced_vertices
 
 
 @dataclass(frozen=True)
@@ -150,5 +150,5 @@ def min_meg_set(G: UndirectedGraph, max_nodes: int = DEFAULT_BUDGET) -> MegResul
     if G.m == 0:
         return MegResult(0, (), True, 0)
     forced = frozenset(v for v in range(G.n) if G.degree(v) == 1)
-    sol = _solve_connected(G.n, G.m, _edge_adjacency(G), forced, max(2, len(forced)), max_nodes)[0]
+    sol = _solve_connected(G.n, G.m, G.out_links, forced, max(2, len(forced)), max_nodes)[0]
     return MegResult(sol.size, sol.witness, sol.optimal, sol.nodes)

@@ -99,14 +99,16 @@ def _automorphisms(G: UndirectedGraph) -> Iterator[tuple[int, ...]]:
     vertex goes only to an unused vertex of its degree whose neighbours
     among the used vertices are the images of its placed neighbours (so a
     neighbour of the first one's image).  The search keeps a stack with,
-    per placed vertex, its untried images and the vertices used before it."""
+    per placed vertex, its untried images and the vertices used before it:
+    recursion would go one level per vertex, past the interpreter's limit
+    on a graph of about a thousand vertices."""
     n, nbs = G.n, G.neighbors
     if not n:
         yield ()
         return
     adj = [sum(1 << w for w in nb) for nb in nbs]
     degree = [len(nb) for nb in nbs]
-    order = sorted(range(n), key=_bfs(nbs, 0).__getitem__)
+    order = sorted(range(n), key=_bfs(nbs, 0)[0].__getitem__)
     rank = {v: k for k, v in enumerate(order)}
     # per vertex in order, its neighbours placed before it
     back = [[u for u in nbs[v] if rank[u] < k] for k, v in enumerate(order)]

@@ -212,6 +212,26 @@ def test_family_positions_give_the_cycle(capsys, monkeypatch):
         assert (rc, out, err) == (0, c3, "")
 
 
+def test_each_family_kind_builds_its_graph(capsys, monkeypatch):
+    import magsets as ms
+
+    tree = ms.UndirectedGraph(6, ((0, 1), (0, 2), (0, 3), (1, 4), (2, 5)))
+    c5_with_tail = ms.UndirectedGraph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (4, 5)))
+    cases = [
+        (["path", "--n", "4"], None, ms.directed_path(4)),
+        (["tournament", "--n", "4"], None, ms.transitive_tournament(4)),
+        (["flipped-tournament", "--n", "4"], None, ms.flipped_tournament(4)),
+        (["cycle", "--n", "7", "--kind", "C2", "--d", "2"], None, ms.cycle_orientation(7, "C2", d=2)),
+        (["gj", "--j", "2"], None, ms.construction_gj(2)),
+        (["rooted-tree", "--root", "1"], tree, ms.rooted_tree_orientation(tree, 1)),
+        (["bipartite"], tree, ms.bipartite_extremal_orientation(tree)),
+        (["girth"], c5_with_tail, ms.girth_alternating_orientation(c5_with_tail)),
+    ]
+    for flags, G, want in cases:
+        stdin = ms.write_edge_list(G) if G else ""
+        assert run(capsys, monkeypatch, ["family", *flags], stdin) == (0, ms.write_edge_list(want), "")
+
+
 def test_family_dot_output(capsys, monkeypatch):
     rc, out, _ = run(capsys, monkeypatch, ["family", "tournament", "--n", "4", "--format", "dot"])
     assert rc == 0 and out.startswith("digraph")
@@ -335,14 +355,22 @@ def test_huge_edgeless_graph_is_rejected_at_once(capsys, monkeypatch, command, m
     assert rc == 1 and out == "" and message in err
 
 
-# the shared arguments each analysis command reads, and one value for each;
-# no command reads --strategy, so every command must reject it
+# the arguments each command reads, and one value for each; no command
+# reads --strategy, so every command must reject it
 READS = {
     "mag": {"input", "--budget"},
     "meg": {"input", "--budget"},
     "spectrum": {"input", "--budget", "--max-edges", "--threads"},
     "extremal": {"input", "--max-edges"},
     "forced": {"input"},
+    "family path": {"--n", "--format"},
+    "family tournament": {"--n", "--format"},
+    "family flipped-tournament": {"--n", "--format"},
+    "family cycle": {"--n", "--kind", "--d", "--pattern", "--sinks", "--format"},
+    "family gj": {"--j", "--format"},
+    "family rooted-tree": {"--input", "--root", "--format"},
+    "family bipartite": {"--input", "--format"},
+    "family girth": {"--input", "--format"},
     "verify nae": {"input", "--max-edges"},
     "verify vc": {"input", "--budget"},
     "verify family": {"--budget", "--max-n"},
@@ -351,7 +379,8 @@ READS = {
 }
 VALUES = {
     "--budget": "5", "--strategy": "bnb", "--max-edges": "9", "--threads": "2", "--seed": "3",
-    "--max-n": "4",
+    "--max-n": "4", "--format": "dot", "--n": "6", "--kind": "C2", "--d": "2", "--pattern": "0,3",
+    "--sinks": "2,5", "--j": "3", "--input": "g.txt", "--root": "1",
 }
 # the argv shapes of the benchmark's ops
 BENCHMARK_ARGV = {
@@ -374,16 +403,15 @@ def test_each_command_takes_only_the_flags_it_reads(command):
         assert exc.value.code == 2
     for flag, value in VALUES.items():
         if flag in READS[command]:
-            args = parser.parse_args(head + [flag, value])
-            assert str(getattr(args, flag[2:].replace("-", "_"))) == value
+            got = getattr(parser.parse_args(head + [flag, value]), flag[2:].replace("-", "_"))
+            assert (",".join(map(str, got)) if isinstance(got, list) else str(got)) == value
         else:
             with pytest.raises(SystemExit) as exc:
                 parser.parse_args(head + [flag, value])
             assert exc.value.code == 2
-    for flag in (["--json"], ["--format", "dot"]):
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(head + flag)
-        assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(head + ["--json"])
+    assert exc.value.code == 2
     if command in BENCHMARK_ARGV:
         args = parser.parse_args(BENCHMARK_ARGV[command])
         assert (args.input, args.budget) == ("op.txt", 20000)

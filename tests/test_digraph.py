@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -17,8 +18,8 @@ from magsets.families import cycle_c0, directed_path
 from helpers import (
     distance_avoiding_arc,
     distances_from_avoiding_arc,
+    distances_from_avoiding_edge,
     random_connected_oriented,
-    random_connected_undirected,
 )
 
 
@@ -108,21 +109,38 @@ def test_shortest_path_counts():
     assert sigma[3] == 2 and sigma[1] == sigma[2] == 1
 
 
+def _girth(G):
+    """The girth by the deletion oracle: an edge (u, v) on a cycle closes
+    one of length d(u, v) + 1 once it is removed; UNREACHABLE if acyclic."""
+    return min((distances_from_avoiding_edge(G, u, e)[v] + 1 for e, (u, v) in enumerate(G.edges)),
+               default=UNREACHABLE)
+
+
 def test_find_shortest_cycle():
     assert find_shortest_cycle(UndirectedGraph(4, ((0, 1), (1, 2), (2, 3)))) is None
     cyc = find_shortest_cycle(UndirectedGraph(5, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4))))
     assert cyc is not None and len(cyc) == 3 and set(cyc) == {0, 1, 2}
+    graphs = []
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        graphs += [UndirectedGraph(n, tuple(p for i, p in enumerate(pairs) if bits >> i & 1))
+                   for bits in range(1 << len(pairs))]
     rng = random.Random(11)
-    for _ in range(20):
-        G = random_connected_undirected(rng, 8, extra=3)
+    for _ in range(200):  # disconnected when the sample misses a spanning tree
+        n = rng.randint(3, 12)
+        pairs = list(combinations(range(n), 2))
+        graphs.append(UndirectedGraph(n, tuple(rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * n))))))
+    for G in graphs:
+        girth = _girth(G)
         cyc = find_shortest_cycle(G)
         if cyc is None:
-            assert G.m == G.n - 1
+            assert girth == UNREACHABLE
             continue
+        assert len(set(cyc)) == len(cyc) == girth >= 3
         edge_set = {frozenset(e) for e in G.edges}
-        for i, v in enumerate(cyc):
-            assert frozenset((v, cyc[(i + 1) % len(cyc)])) in edge_set
-        assert len(set(cyc)) == len(cyc) >= 3
+        # consecutive vertices are adjacent, and no other two of them are
+        for i, j in combinations(range(len(cyc)), 2):
+            assert (frozenset((cyc[i], cyc[j])) in edge_set) == ((j - i) % len(cyc) in (1, len(cyc) - 1))
 
 
 def test_unreachable_is_infinite():

@@ -1,5 +1,6 @@
 import importlib
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -212,16 +213,24 @@ def test_automorphisms_preserve_edges():
         assert len(set(found)) == len(found) == 2 * n
         assert all(preserves_edges(undirected_cycle(n), p) for p in found)
     rng = random.Random(17)
-    graphs = [complete_graph(4), complete_bipartite(2, 3), star(4), undirected_path(5)] + [
+    # K6 has 720 automorphisms and the scan keeps the first 128, so the
+    # order of the sequence decides which symmetries it tests masks against
+    graphs = [complete_graph(4), complete_graph(6), complete_bipartite(2, 3), star(4), undirected_path(5)] + [
         random_connected_undirected(rng, rng.randint(2, 6), extra=rng.randint(0, 4)) for _ in range(20)
     ]
     for G in graphs:
         found = list(scan._automorphisms(G))
-        assert len(set(found)) == len(found)
         assert all(preserves_edges(G, p) for p in found)
-        assert set(found) == set(automorphisms_by_permutation(G))
+        # each image is tried in increasing order, vertex by vertex in
+        # breadth-first order from 0: the brute-force list in that order
+        bfs_order = sorted(range(G.n), key=lambda v: G.distance(0, v))
+        assert found == sorted(automorphisms_by_permutation(G), key=lambda p: [p[v] for v in bfs_order])
     found = list(scan._automorphisms(PETERSEN))
     assert len(found) == 120 and all(preserves_edges(PETERSEN, p) for p in found)
+    # the search goes one level per vertex, so a path longer than the
+    # recursion limit needs it to keep its own stack
+    n = sys.getrecursionlimit() + 10
+    assert list(scan._automorphisms(undirected_path(n))) == [tuple(range(n)), tuple(range(n - 1, -1, -1))]
 
 
 @pytest.mark.parametrize("G", [

@@ -278,11 +278,28 @@ def _int_at_least(least: int):
 
 
 def _int_list(text: str) -> list[int]:
-    """An argparse type: comma-separated ints, else exit 2."""
+    """An argparse type: comma-separated 0-based positions, else exit 2."""
     try:
-        return [int(t) for t in text.split(",")]
+        values = [int(t) for t in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}") from None
+    for v in values:
+        if v < 0:
+            raise argparse.ArgumentTypeError(f"positions are 0-based, got {v} in {text!r}")
+    return values
+
+
+# each optional flag of family cycle, and the --kind classes that read it
+_CYCLE_FLAGS = {"d": ("C1", "C2"), "pattern": ("C3",), "sinks": ("C3",)}
+
+
+def _cycle(args: argparse.Namespace) -> OrientedGraph:
+    """The --kind class of the cycle on --n vertices; a flag the class does
+    not read exits 2."""
+    for flag, kinds in _CYCLE_FLAGS.items():
+        if getattr(args, flag) is not None and args.kind not in kinds:
+            args.usage_error(f"argument --{flag}: class {args.kind} does not take it")
+    return cycle_orientation(args.n, args.kind, d=args.d, sources=args.pattern, sinks=args.sinks)
 
 
 # the arguments shared by the commands; each command takes the ones it reads
@@ -350,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--d", type=int, default=None, help="distance from the source to the sink (class C2)")
     c.add_argument("--pattern", type=_int_list, default=None, help="comma-separated source positions (class C3)")
     c.add_argument("--sinks", type=_int_list, default=None, help="comma-separated sink positions (class C3)")
-    c.set_defaults(build=lambda a: cycle_orientation(a.n, a.kind, d=a.d, sources=a.pattern, sinks=a.sinks))
+    c.set_defaults(build=_cycle, usage_error=c.error)
     c = kinds.add_parser("gj", help="the construction G_j")
     c.add_argument("--j", type=int, default=1)
     _add_common(c, "--format")

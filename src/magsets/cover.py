@@ -22,19 +22,18 @@ it ends the search.  Its set-up reads only the targets F leaves uncovered.
 Tie-breaking is by lowest vertex index everywhere, so the witness is
 reproducible bit-for-bit.
 
-Nodes that cannot have a child are not entered.  A search node is one
-candidate vertex set.  In branch-and-bound, every child of a node that is
+A search node is one candidate vertex set, counted as one unit of the
+budget.  The sweep enters every set of the size being tried and counts
+and tests it there.  In branch-and-bound, every child of a node that is
 not a cover adds at least one vertex: the node's coverage is exactly that
 of its set, so no pair inside the set holds an uncovered target.  So a
-child one vertex short of the best cover so far is a leaf, and it is
-counted as a node and one unit of the budget, in pair order, and tested
-where it is generated: every child within the bound of a node two vertices
-short, and every child adding both ends of its pair to a node three short.
-A node two short returns at the first cover, which puts every later
-sibling at the bound.  Only the root, or a child made a leaf by a bound
-that shrank during its parent's loop, is entered one short, and it returns
-right after its cover test.  The sweep tests the sets of the size being
-tried inline in the same way.
+child one vertex short of the best cover so far is a leaf.  A node two
+vertices short counts and tests its leaves itself: it walks its target's
+pairs in order, tests its set plus the other end of each unbanned pair
+with one end in the set, and returns at the first cover, which puts
+every later sibling at the bound.  Every other child within the bound, a
+two-vertex child of a node three short too, is entered and counted and
+tested there; a leaf entered returns right after its cover test.
 
 Branch-and-bound prunes sets it has already searched by exclusion
 branching, the disjoint-subproblem rule of set-cover branching.  A child
@@ -61,12 +60,10 @@ A branch-and-bound node that branches keeps the gain list of its path:
 coverage, or a leaf's cover test, reads one entry per added vertex instead
 of ORing its rows to every chosen vertex.  A node two short builds no list:
 each leaf it tests reads its parent's entry and ORs in the rows of the
-node's own added vertices.  It takes its leaves from bitmasks, the
-unbanned partners in its set for the target's pairs, in the order of those
-pairs, rather than walking the pair list.  None of this changes the
-search: the nodes counted, their order, the witnesses and the node at
-which an exhausted budget stops are those of a search with the same bans
-and cuts that enters every node and ORs the rows of each one's set.
+node's own added vertices.  None of this changes the search: the nodes
+counted, their order, the witnesses and the node at which an exhausted
+budget stops are those of a search with the same bans and cuts that
+enters every node and ORs the rows of each one's set.
 """
 from __future__ import annotations
 
@@ -159,24 +156,13 @@ def solve_cover_sweep(
 
     def rec(start: int, chosen: list[int], cov: int, remaining: int) -> bool:
         nonlocal nodes, found
-        if remaining == 0:  # only when the forced set alone is tried
+        if remaining == 0:
             nodes += 1
             if nodes > max_nodes:
                 raise _Stop
-            return cov == full
-        if remaining == 1:  # the leaves, tested here in the order they would be visited
-            for idx in range(start, len(free)):
-                v = free[idx]
-                extra = with_forced[v]
-                row_v = rows[v]
-                for c in chosen:
-                    extra |= row_v[c]
-                nodes += 1
-                if nodes > max_nodes:
-                    raise _Stop
-                if cov | extra == full:
-                    found = chosen + [v]
-                    return True
+            if cov == full:
+                found = list(chosen)
+                return True
             return False
         for idx in range(start, len(free) - remaining + 1):
             v = free[idx]
@@ -270,23 +256,17 @@ def solve_cover_branch_bound(
     targets = [t for t in range(full.bit_length()) if left >> t & 1]
     counts = _bit_counts((m for x, row in enumerate(rows) for mk in row[x + 1 :] if (m := mk & left)), targets)
     order = [1 << t for _, t in sorted(zip(counts, targets))]
-    # target bit -> its pairs in lex order as (x, y, both ends' bits), each
-    # vertex's partners in those pairs, and the vertices with a partner
-    admissible: dict[int, tuple[list[tuple[int, int, int]], list[int], int]] = {}
+    # target bit -> its pairs in lex order as (x, y, both ends' bits)
+    admissible: dict[int, list[tuple[int, int, int]]] = {}
     nodes = 0
 
-    def admissible_of(bit: int) -> tuple[list[tuple[int, int, int]], list[int], int]:
-        entry = admissible.get(bit)
-        if entry is None:
-            pairs = [(x, y, 1 << x | 1 << y) for x, row in enumerate(rows) for y in range(x + 1, n) if row[y] & bit]
-            partners = [0] * n
-            touched = 0
-            for x, y, xy in pairs:
-                partners[x] |= 1 << y
-                partners[y] |= 1 << x
-                touched |= xy
-            entry = admissible[bit] = (pairs, partners, touched)
-        return entry
+    def admissible_of(bit: int) -> list[tuple[int, int, int]]:
+        pairs = admissible.get(bit)
+        if pairs is None:
+            pairs = admissible[bit] = [
+                (x, y, 1 << x | 1 << y) for x, row in enumerate(rows) for y in range(x + 1, n) if row[y] & bit
+            ]
+        return pairs
 
     def rec(
         k: int, cmask: int, cov: int, gain: list[int], added: tuple[int, ...], pos: int, ban: int
@@ -306,55 +286,36 @@ def solve_cover_branch_bound(
         uncovered = full & ~cov
         while not uncovered & order[pos]:
             pos += 1
-        pick_pairs, partners, touched = admissible_of(order[pos])
+        pick_pairs = admissible_of(order[pos])
         if k + 2 == limit:
             # every child within the bound adds one vertex and is a leaf:
-            # count and test each here, and stop at the first cover, which
-            # puts every later sibling at the bound; the list is the
-            # parent's, so the rows of this node's own vertices are ORed in.
-            # The leaves are the unbanned partners in the set, taken in pair
-            # order: row x of a vertex x in the set holds its partners not
-            # yet taken, row x of a leaf vertex x holds x itself
-            inside = cmask & touched
-            cand = 0
-            rest = inside
-            while rest:
-                low = rest & -rest
-                cand |= partners[low.bit_length() - 1]
-                rest ^= low
-            cand &= ~(cmask | ban)
-            rows_left = inside | cand
-            while cand:
-                low = rows_left & -rows_left
-                rows_left ^= low
-                if low & cmask:
-                    vs = partners[low.bit_length() - 1] & cand
-                elif low & cand:
-                    vs = low
-                else:
+            # count and test each here, in pair order, and stop at the first
+            # cover, which puts every later sibling at the bound.  A tested
+            # leaf is banned, so a later pair does not test it again.  The
+            # list is the parent's, so the rows of this node's own vertices
+            # are ORed in
+            for x, y, xy in pick_pairs:
+                if xy & ban or not xy & cmask:
                     continue
-                cand &= ~vs
-                while vs:
-                    low = vs & -vs
-                    vs ^= low
-                    v = low.bit_length() - 1
-                    nodes += 1
-                    if nodes > max_nodes:
-                        raise _Stop
-                    gv = gain[v]
-                    for a in added:
-                        gv |= rows[a][v]
-                    if cov | gv == full:
-                        cmask |= low
-                        best = [u for u in range(n) if cmask >> u & 1]
-                        return
+                v = y if cmask >> x & 1 else x
+                nodes += 1
+                if nodes > max_nodes:
+                    raise _Stop
+                gv = gain[v]
+                for a in added:
+                    gv |= rows[a][v]
+                if cov | gv == full:
+                    cmask |= 1 << v
+                    best = [u for u in range(n) if cmask >> u & 1]
+                    return
+                ban |= 1 << v
             return
         if ban and k + 4 <= limit:
             # a target whose every pair holds a banned vertex can no longer
             # be covered, so no cover lies below this node
             for p in range(pos, len(order)):
                 if uncovered & order[p]:
-                    for _, _, xy in admissible_of(order[p])[0]:
+                    for _, _, xy in admissible_of(order[p]):
                         if not xy & ban:
                             break
                     else:
@@ -373,16 +334,7 @@ def solve_cover_branch_bound(
                     rec(k + 1, cmask | 1 << x, cov | gain[x], gain, (x,), pos, ban)
                     ban |= 1 << x
             elif k + 2 < limit:
-                child_cov = cov | gain[x] | gain[y] | rows[x][y]
-                if k + 3 == limit:  # the child is a leaf: count and test it here
-                    nodes += 1
-                    if nodes > max_nodes:
-                        raise _Stop
-                    if child_cov == full:
-                        cmask_xy = cmask | 1 << x | 1 << y
-                        best = [u for u in range(n) if cmask_xy >> u & 1]
-                else:
-                    rec(k + 2, cmask | 1 << x | 1 << y, child_cov, gain, (x, y), pos, ban)
+                rec(k + 2, cmask | xy, cov | gain[x] | gain[y] | rows[x][y], gain, (x, y), pos, ban)
             limit = len(best)
             if limit <= lower:
                 raise _Stop  # a cover at the lower bound is optimal

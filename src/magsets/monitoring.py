@@ -248,6 +248,8 @@ def _forced_reasons(
     reasons: dict[int, tuple[ForcedRule, Optional[int]]] = {}
     for v, key in enumerate(keys):
         if not key[0]:
+            if not key[1]:
+                continue  # a vertex with no arcs monitors nothing and is in no minimum set
             reason = _SOURCE
         elif not key[1]:
             reason = _SINK
@@ -265,7 +267,8 @@ def _forced_reasons(
 
 def forced_vertices(g: OrientedGraph) -> ForcedReport:
     """Union of the forcing rules: sources/sinks, twins, and the two
-    extremal-characterization conditions for internal vertices."""
+    extremal-characterization conditions for internal vertices.  A vertex
+    with no arcs is not forced."""
     reasons = _forced_reasons(*_neighbourhoods(g))
     return ForcedReport(frozenset(reasons), reasons)
 
@@ -275,9 +278,12 @@ def is_extremal(g: OrientedGraph) -> tuple[bool, Optional[int]]:
     bypass conditions, i.e. the only MAG-set is all of V.
 
     Returns (True, None) or (False, violating vertex with least index).
+    One vertex with no arcs is not extremal: its mag is 0.
     """
     if not g.is_weakly_connected():
         raise DisconnectedInputError("extremal test requires a weakly connected graph")
+    if g.n == 1:
+        return False, 0
     v = _first_unbypassed(*_neighbourhoods(g))
     return v is None, v
 

@@ -29,6 +29,12 @@ from .errors import (
 from .solver import min_mag_set
 from .spectrum import DEFAULT_EDGE_CAP, mag_plus_at_least_n
 
+# the caps of the brute-force oracles: 2^24 assignments or vertex subsets,
+# and a vertex-cover gadget small enough to solve exactly
+_MAX_NAE_VARS = 24
+_MAX_VC_VERTICES = 24
+_MAX_VC_SIZE = 12
+
 
 @dataclass(frozen=True)
 class Nae3SatInstance:
@@ -91,10 +97,10 @@ def nae3sat_to_graph(phi: Nae3SatInstance) -> ReductionArtifact:
     return ReductionArtifact(UndirectedGraph(n + 3 * m, tuple(edges)), roles)
 
 
-def brute_nae3sat(phi: Nae3SatInstance, max_vars: int = 24) -> bool:
+def brute_nae3sat(phi: Nae3SatInstance) -> bool:
     """Exhaustive assignment check: every clause needs a True and a False."""
-    if phi.num_vars > max_vars:
-        raise TooLargeError(f"{phi.num_vars} variables exceeds the 2^{max_vars} cap")
+    if phi.num_vars > _MAX_NAE_VARS:
+        raise TooLargeError(f"{phi.num_vars} variables exceeds the 2^{_MAX_NAE_VARS} cap")
     if not phi.clauses:
         return True
     for assignment in range(1 << phi.num_vars):
@@ -218,13 +224,11 @@ def vc_to_mag_instance(inst: VertexCoverInstance) -> ReductionArtifact:
     return ReductionArtifact(graph, roles, target=inst.k + 2 * n + 2 * m, forced_roles=forced)
 
 
-def brute_vertex_cover(
-    inst: VertexCoverInstance, max_vertices: int = 24
-) -> tuple[bool, Optional[frozenset[int]]]:
+def brute_vertex_cover(inst: VertexCoverInstance) -> tuple[bool, Optional[frozenset[int]]]:
     """Smallest-first exhaustive search for a cover of size <= k."""
     G = inst.graph
-    if G.n > max_vertices:
-        raise TooLargeError(f"{G.n} vertices exceeds the cap of {max_vertices}")
+    if G.n > _MAX_VC_VERTICES:
+        raise TooLargeError(f"{G.n} vertices exceeds the cap of {_MAX_VC_VERTICES}")
     for size in range(inst.k + 1):
         for cand in combinations(range(G.n), size):
             chosen = set(cand)
@@ -233,17 +237,15 @@ def brute_vertex_cover(
     return False, None
 
 
-def verify_vc_reduction(
-    inst: VertexCoverInstance, max_nodes: int = DEFAULT_BUDGET, max_size: int = 12
-) -> bool:
+def verify_vc_reduction(inst: VertexCoverInstance, max_nodes: int = DEFAULT_BUDGET) -> bool:
     """Does [the gadget has a MAG-set of size <= k + 2n + 2m] match the
     brute vertex-cover verdict?  Raises :class:`BudgetExceededError` when
     the ``max_nodes`` search budget runs out before a MAG-set within the
     target is found."""
     check_budget(max_nodes)
     G = inst.graph
-    if G.n + G.m > max_size:
-        raise TooLargeError(f"n + m = {G.n + G.m} exceeds the practical cap of {max_size}")
+    if G.n + G.m > _MAX_VC_SIZE:
+        raise TooLargeError(f"n + m = {G.n + G.m} exceeds the practical cap of {_MAX_VC_SIZE}")
     art = vc_to_mag_instance(inst)
     assert isinstance(art.graph, OrientedGraph) and art.target is not None
     result = min_mag_set(art.graph, max_nodes)

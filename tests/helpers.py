@@ -279,16 +279,19 @@ def _set_cond_iii(g: OrientedGraph, v: int, arcs: frozenset):
 
 def set_forced_reasons(g: OrientedGraph) -> dict[int, tuple[str, int | None]]:
     """vertex -> (rule name, witness) by sources/sinks, twins, then the two
-    bypass conditions, each vertex taking the first rule that applies."""
+    bypass conditions, each vertex taking the first rule that applies.  A
+    vertex with no arcs lies in no minimum MAG-set, so no rule forces it."""
     reasons: dict[int, tuple[str, int | None]] = {}
     sources, sinks = g.sources_and_sinks()
+    isolated = sources & sinks
+    sources, sinks = sources - isolated, sinks - isolated
     for v in sorted(sources):
         reasons[v] = ("source", None)
     for v in sorted(sinks):
         reasons.setdefault(v, ("sink", None))
     nbhd = [(frozenset(g.in_neighbors[v]), frozenset(g.out_neighbors[v])) for v in range(g.n)]
     for v in range(g.n):
-        if v in reasons:
+        if v in reasons or v in isolated:
             continue
         for u in range(g.n):
             if u != v and nbhd[u] == nbhd[v]:
@@ -296,7 +299,7 @@ def set_forced_reasons(g: OrientedGraph) -> dict[int, tuple[str, int | None]]:
                 break
     arcs = frozenset(g.arcs)
     for v in range(g.n):
-        if v in reasons:
+        if v in reasons or v in isolated:
             continue
         u = _set_cond_ii(g, v, arcs)
         if u is not None:
@@ -310,10 +313,13 @@ def set_forced_reasons(g: OrientedGraph) -> dict[int, tuple[str, int | None]]:
 
 def set_is_extremal(g: OrientedGraph) -> tuple[bool, int | None]:
     """(True, None), or (False, least vertex that is neither a source, a sink,
-    nor satisfies a bypass condition)."""
+    nor satisfies a bypass condition).  A vertex with no arcs is in no
+    minimum MAG-set, so it is such a vertex."""
     sources, sinks = g.sources_and_sinks()
     arcs = frozenset(g.arcs)
     for v in range(g.n):
+        if v in sources and v in sinks:
+            return False, v
         if v in sources or v in sinks:
             continue
         if _set_cond_ii(g, v, arcs) is None and _set_cond_iii(g, v, arcs) is None:

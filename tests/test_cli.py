@@ -180,6 +180,11 @@ def test_forced_command(capsys, monkeypatch):
     assert report["result"]["reasons"]["0"]["rule"] == "source"
 
 
+def test_forced_skips_a_vertex_with_no_arcs(capsys, monkeypatch):
+    rc, report, _ = run_json(capsys, monkeypatch, ["forced", "-"], "directed 3 1\n0 1\n")
+    assert rc == 0 and report["result"]["forced"] == [0, 1]
+
+
 def test_family_emits_parseable_edge_list(capsys, monkeypatch):
     rc, out, _ = run(capsys, monkeypatch, ["family", "cycle", "--n", "6", "--kind", "C1"])
     assert rc == 0
@@ -194,6 +199,8 @@ def test_family_emits_parseable_edge_list(capsys, monkeypatch):
     (["--pattern", ""], "argument --pattern: must be comma-separated integers, got ''"),
     (["--pattern", "0,,3"], "argument --pattern: must be comma-separated integers, got '0,,3'"),
     (["--pattern", "0,3", "--sinks", "x"], "argument --sinks: must be comma-separated integers, got 'x'"),
+    (["--pattern=-1,3"], "argument --pattern: positions are 0-based, got -1 in '-1,3'"),
+    (["--pattern", "0,3", "--sinks=2,-5"], "argument --sinks: positions are 0-based, got -5 in '2,-5'"),
 ])
 def test_family_bad_positions_exit_2(capsys, monkeypatch, flags, message):
     with pytest.raises(SystemExit) as exc:
@@ -201,6 +208,24 @@ def test_family_bad_positions_exit_2(capsys, monkeypatch, flags, message):
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == "" and message in out.err and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("kind, flags, flag", [
+    ("C0", ["--d", "3"], "--d"),
+    ("C3", ["--d", "3", "--pattern", "0,3"], "--d"),
+    ("C0", ["--pattern", "1,3"], "--pattern"),
+    ("C1", ["--pattern", "1,3"], "--pattern"),
+    ("C2", ["--d", "2", "--pattern", "1,3"], "--pattern"),
+    ("C0", ["--sinks", "2"], "--sinks"),
+    ("C1", ["--sinks", "2"], "--sinks"),
+    ("C2", ["--d", "2", "--sinks", "2"], "--sinks"),
+])
+def test_family_cycle_flag_its_class_does_not_read_exits_2(capsys, monkeypatch, kind, flags, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, monkeypatch, ["family", "cycle", "--n", "6", "--kind", kind, *flags])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"argument {flag}: class {kind} does not take it" in out.err
 
 
 def test_family_positions_give_the_cycle(capsys, monkeypatch):

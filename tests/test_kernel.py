@@ -25,6 +25,7 @@ from magsets import (
     forced_vertices,
     is_extremal,
     is_mag_set,
+    mag_lower_bound,
     min_mag_set,
     min_meg_set,
     monitors_directed,
@@ -259,6 +260,27 @@ def test_bitset_forcing_matches_set_oracle(g):
     assert forced_vertices(g).vertices == frozenset(reasons)
     if g.is_weakly_connected():
         assert is_extremal(g) == set_is_extremal(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(oriented_graphs(max_n=8), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_isolated_vertices_are_not_forced(g, extra, rnd):
+    """Forcing is sound with vertices that have no arcs: the forced set lies
+    inside the witness, and the lower bound does not pass the optimum."""
+    n = g.n + extra
+    label = list(range(n))
+    rnd.shuffle(label)
+    g = OrientedGraph(n, tuple((label[u], label[v]) for u, v in g.arcs))
+    res = min_mag_set(g)
+    assert res.optimal
+    assert forced_vertices(g).vertices <= set(res.witness)
+    assert mag_lower_bound(g) <= res.size
+
+
+def test_lone_vertex_is_not_extremal():
+    assert is_extremal(OrientedGraph(1, ())) == (False, 0)
+    assert is_extremal(OrientedGraph(0, ())) == (True, None)
+    assert forced_vertices(OrientedGraph(3, ((0, 1),))).vertices == {0, 1}
 
 
 @st.composite
@@ -508,8 +530,9 @@ def test_greedy_matches_list_greedy(problem):
 @settings(max_examples=100, deadline=None)
 @given(random_row_problems(), st.data())
 def test_branch_bound_matches_reference_on_random_rows(problem, data):
-    # random masks on up to 30 vertices give the bitmask leaf tests wider
-    # rows than the MAG problems do; every budget drawn stops the search on
+    # random masks on up to 30 vertices give the leaves of a node two short
+    # longer pair lists than the MAG problems do, with a leaf vertex that
+    # several pairs reach tested once; every budget drawn stops the search on
     # the reference's node, holding the reference's cover.  The forced set
     # mostly covers some targets but not all: the search orders only the
     # ones it leaves uncovered, the reference every target, so this also
@@ -525,8 +548,8 @@ def test_branch_bound_matches_reference_on_random_rows(problem, data):
 def test_branch_bound_optimum_first_reached_as_a_pair_leaf():
     # here branch-and-bound first reaches its optimum, 6 of the 10 vertices,
     # as a child adding two vertices to a node three short of the bound:
-    # a leaf counted and tested in that node's loop; every budget must stop
-    # on the reference's node, holding the reference's cover
+    # a leaf entered like any other child, counted and then tested; every
+    # budget must stop on the reference's node, holding the reference's cover
     problem = mag_problem(random_oriented(random.Random(224), 10, 0.2), frozenset(), 0)
     for known in ((), (greedy_cover(problem),)):
         whole = helpers.solve_cover_branch_bound(problem, 10_000_000, *known)
